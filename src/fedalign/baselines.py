@@ -1,10 +1,9 @@
 """Reference aggregators run under the identical harness: FedAvg and the
-FedProx proximal term. FedProx reuses FedAvg aggregation; its client-side
-penalty is applied inside the shared local_round."""
+FedProx proximal term. FedAvg is the server's aggregation kernel with
+dataset-size weights on every block; FedProx adds `prox_term`'s gradient
+inside the shared local_round."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,25 +11,11 @@ from . import model as M
 from .server import weighted_average
 
 
-@dataclass(frozen=True)
-class BaselineKind:
-    tag: str  # "fedavg" or "fedprox"
-    prox_mu: float = 0.0
-
-    def __post_init__(self):
-        if self.tag not in ("fedavg", "fedprox"):
-            raise ValueError(f"unknown baseline {self.tag!r}")
-        if (self.tag == "fedprox") != (self.prox_mu > 0):
-            raise ValueError("prox_mu > 0 iff fedprox")
-
-
 def fedavg_aggregate(params: list[M.ModelParams], sizes) -> M.ModelParams:
     """Dataset-size-weighted average of every parameter block."""
+    w = np.asarray(sizes, dtype=np.float64) / np.sum(sizes)
     return M.ModelParams(
-        *(
-            weighted_average([getattr(p, b) for p in params], sizes)
-            for b in M.ModelParams.BLOCKS
-        )
+        *(weighted_average([getattr(p, b) for p in params], w) for b in M.ModelParams.BLOCKS)
     )
 
 

@@ -42,18 +42,26 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
+def _fail(error: str, details, code: int) -> int:
+    print(json.dumps({"error": error, "details": details}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Exit 0 on success, 2 on an invalid config (including a data partition
+    the config cannot produce), 3 when training diverges."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        errors = cfg.validate()
-        if errors:
-            raise ConfigError(errors)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
-        print(json.dumps({"error": "invalid-config", "details": errors}), file=sys.stderr)
-        return 2
-    result = run_experiment(cfg, out_dir=args.out)
+        return _fail("invalid-config", errors, 2)
+    try:
+        result = run_experiment(cfg, out_dir=args.out)
+    except ConfigError as exc:
+        return _fail("invalid-config", exc.errors, 2)
+    except FloatingPointError as exc:
+        return _fail("diverged", str(exc), 3)
     final = result.records[-1]
     print(
         json.dumps(

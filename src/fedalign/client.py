@@ -1,15 +1,18 @@
 """One client's local round: mini-batch SGD on the combined objective,
 followed by a single evaluation pass that produces the routing statistics
-and per-expert deltas uploaded to the server."""
+and the parameter update uploaded to the server."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import model as M
+from .baselines import prox_term
 from .data import ClientDataset
 from .numeric import sigmoid
 
@@ -23,7 +26,6 @@ class RegContext:
     """
 
     p_g: np.ndarray  # (S,) global routing reference, sums to 1
-    eta: float  # overlap threshold feeding alpha
     lam: float  # balancing coefficient on the regularizer
     alpha: np.ndarray  # (S,) adaptive per-expert weights
 
@@ -47,21 +49,13 @@ class RoutingStats:
 
 
 @dataclass
-class ExpertDelta:
-    flat: np.ndarray  # (S, P) flattened per-expert update, w1|b1|w2|b2
-    activated: np.ndarray  # (S,) bool
-
-
-@dataclass
 class LocalRoundResult:
     client_id: int
-    delta: ExpertDelta
+    param_delta: M.ModelParams  # new - start for every block: the client update
+    activated: np.ndarray  # (S,) bool, expert selected for some training batch
     stats: RoutingStats
-    params: M.ModelParams  # full updated local parameters
-    param_delta: M.ModelParams  # new - old for every block (server plumbing)
     mean_local_loss: float
     mean_reg_loss: float
-    epochs_run: int = field(default=0)
 
 
 def compute_p_bar(trace: M.ForwardTrace) -> np.ndarray:
@@ -143,17 +137,17 @@ def local_round(
             idx = order[start : start + batch_size]
             trace, loss = M.forward(config, params, shard.features[idx], shard.labels[idx])
             if loss is None or not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"client {shard.client_id}: non-finite training loss, aborting round"
-                )
+                raise FloatingPointError("non-finite training loss, aborting round")
             for e in trace.expert_cache:
                 activated[e] = True
             grads = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx)
+            if prox_mu > 0.0 and prox_ref is not None:
+                prox = prox_term(params, prox_ref, prox_mu)[1]
+                grads = M.ModelParams(
+                    *(getattr(grads, b) + getattr(prox, b) for b in M.ModelParams.BLOCKS)
+                )
             for b in M.ModelParams.BLOCKS:
-                g = getattr(grads, b)
-                if prox_mu > 0.0 and prox_ref is not None:
-                    g = g + prox_mu * (getattr(params, b) - getattr(prox_ref, b))
-                getattr(params, b)[...] -= lr * g
+                getattr(params, b)[...] -= lr * getattr(grads, b)
             params.check_finite()
 
     # Statistics reflect the uploaded model: one pass over the whole shard.
@@ -169,36 +163,32 @@ def local_round(
         dataset_size=n,
     )
 
-    flat = np.stack(
-        [params.expert_flat(e) - params_in.expert_flat(e) for e in range(config.num_experts)]
-    )
-    delta = ExpertDelta(flat=flat, activated=activated)
     param_delta = M.ModelParams(
         *(getattr(params, b) - getattr(params_in, b) for b in M.ModelParams.BLOCKS)
     )
     return LocalRoundResult(
         client_id=shard.client_id,
-        delta=delta,
-        stats=stats,
-        params=params,
         param_delta=param_delta,
+        activated=activated,
+        stats=stats,
         mean_local_loss=mean_local,
         mean_reg_loss=mean_reg,
-        epochs_run=epochs,
     )
 
 
+UPLOAD_MAGIC = b"FUP1"
+
+
 def save_upload(path_prefix, config: M.MoEConfig, result: LocalRoundResult):
-    """Client upload payload: binary blob of per-expert flattened deltas and
-    mu rows, plus a JSON sidecar of the scalar statistics."""
+    """Client upload payload: binary blob of the per-expert update rows
+    (`model.expert_rows` of the delta) and mu rows, plus a JSON sidecar of
+    the scalar statistics."""
     stats = result.stats
+    rows = M.expert_rows(result.param_delta)
     with open(f"{path_prefix}.bin", "wb") as fh:
-        fh.write(b"FUP1")
-        np.array(
-            [config.num_experts, result.delta.flat.shape[1], stats.mu.shape[1]],
-            dtype="<u4",
-        ).tofile(fh)
-        fh.write(np.ascontiguousarray(result.delta.flat, dtype="<f8").tobytes())
+        fh.write(UPLOAD_MAGIC)
+        np.array([config.num_experts, rows.shape[1], stats.mu.shape[1]], dtype="<u4").tofile(fh)
+        fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(stats.mu, dtype="<f8").tobytes())
     sidecar = {
         "client_id": result.client_id,
@@ -207,7 +197,7 @@ def save_upload(path_prefix, config: M.MoEConfig, result: LocalRoundResult):
         "overlap": stats.overlap.tolist(),
         "margin": stats.margin.tolist(),
         "mu_empty": stats.mu_empty.astype(int).tolist(),
-        "activated": result.delta.activated.astype(int).tolist(),
+        "activated": result.activated.astype(int).tolist(),
         "mean_local_loss": result.mean_local_loss,
         "mean_reg_loss": result.mean_reg_loss,
     }
@@ -215,15 +205,33 @@ def save_upload(path_prefix, config: M.MoEConfig, result: LocalRoundResult):
         json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
-def load_upload(path_prefix) -> tuple[ExpertDelta, RoutingStats, dict]:
-    with open(f"{path_prefix}.bin", "rb") as fh:
-        if fh.read(4) != b"FUP1":
-            raise ValueError("bad upload magic")
-        s, p, h = np.fromfile(fh, dtype="<u4", count=3)
-        flat = np.fromfile(fh, dtype="<f8", count=int(s * p)).reshape(int(s), int(p))
-        mu = np.fromfile(fh, dtype="<f8", count=int(s * h)).reshape(int(s), int(h))
+def load_upload(path_prefix) -> tuple[np.ndarray, np.ndarray, RoutingStats, dict]:
+    """Returns (update rows (S, P), activated (S,), stats, sidecar dict).
+
+    A truncated or over-long `.bin`, or a sidecar whose per-expert vectors
+    disagree with the header's S, raises ValueError.
+    """
+    raw = Path(f"{path_prefix}.bin").read_bytes()
+    if len(raw) < 16:  # magic and three uint32: S, P, H
+        raise ValueError(f"truncated upload header: {len(raw)} of 16 bytes")
+    if raw[:4] != UPLOAD_MAGIC:
+        raise ValueError(f"bad upload magic {raw[:4]!r}")
+    s, p, h = struct.unpack("<3I", raw[4:16])
+    want = 16 + 8 * s * (p + h)
+    if len(raw) < want:
+        raise ValueError(
+            f"truncated upload: {len(raw)} bytes, header S={s} P={p} H={h} needs {want}"
+        )
+    if len(raw) > want:
+        raise ValueError(f"{len(raw) - want} trailing bytes in upload")
+    body = np.frombuffer(raw, dtype="<f8", offset=16).astype(np.float64)
+    rows = body[: s * p].reshape(s, p)
+    mu = body[s * p :].reshape(s, h)
     with open(f"{path_prefix}.json") as fh:
         side = json.load(fh)
+    for key in ("p_bar", "overlap", "margin", "mu_empty", "activated"):
+        if len(side[key]) != s:
+            raise ValueError(f"upload sidecar {key!r} has length {len(side[key])}, header S={s}")
     stats = RoutingStats(
         p_bar=np.array(side["p_bar"]),
         overlap=np.array(side["overlap"]),
@@ -232,5 +240,4 @@ def load_upload(path_prefix) -> tuple[ExpertDelta, RoutingStats, dict]:
         mu_empty=np.array(side["mu_empty"], dtype=bool),
         dataset_size=side["dataset_size"],
     )
-    delta = ExpertDelta(flat=flat, activated=np.array(side["activated"], dtype=bool))
-    return delta, stats, side
+    return rows, np.array(side["activated"], dtype=bool), stats, side

@@ -86,7 +86,7 @@ def dirichlet_partition(
     """Label-skew split: per class, proportions ~ Dir(concentration * 1_N).
 
     The shards are disjoint and jointly exhaust the pool. If any client ends
-    up empty the draw is retried up to max_retries times.
+    up empty the draw is retried up to max_retries times, then ValueError.
     """
     if concentration <= 0:
         raise ValueError("concentration must be > 0")
@@ -109,8 +109,10 @@ def dirichlet_partition(
                 idx = np.sort(np.concatenate(chunks))
                 shards.append(ClientDataset(client, features[idx], labels[idx].copy()))
             return shards
-    raise RuntimeError(
-        f"dirichlet_partition left a client empty after {max_retries} retries"
+    raise ValueError(
+        f"dirichlet_partition: {num_clients} clients at dirichlet_alpha={concentration} "
+        f"left a client empty in each of {max_retries} draws; raise the alpha or lower "
+        "the client count"
     )
 
 

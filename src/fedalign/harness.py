@@ -189,9 +189,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     train_x, train_y = generate(task, child_rng(cfg.seed, "data"))
     test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
     test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
-    shards = dirichlet_partition(
-        train_x, train_y, n, cfg.dirichlet_alpha, child_rng(cfg.seed, "partition")
-    )
+    try:
+        shards = dirichlet_partition(
+            train_x, train_y, n, cfg.dirichlet_alpha, child_rng(cfg.seed, "partition")
+        )
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
 
     global_params = M.init_params(mcfg, child_rng(cfg.seed, "init"))
     local_gates: list[np.ndarray | None] = [None] * n
@@ -223,29 +226,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 alpha = C.compute_alpha(overlap, cfg.eta)
             else:
                 alpha = np.ones(s)
-            ctx = C.RegContext(
-                p_g=p_g, eta=cfg.eta, lam=cfg.lam if is_align else 0.0, alpha=alpha
-            )
-            res = C.local_round(
-                mcfg,
-                start,
-                shard,
-                ctx,
-                epochs=cfg.local_epochs,
-                lr=cfg.lr,
-                rng=child_rng(cfg.seed, "client", i, "round", t),
-                batch_size=cfg.batch_size,
-                prox_mu=cfg.prox_mu if cfg.method == "fedprox" else 0.0,
-                prox_ref=global_params if cfg.method == "fedprox" else None,
-                overlap=overlap,
-            )
+            ctx = C.RegContext(p_g=p_g, lam=cfg.lam if is_align else 0.0, alpha=alpha)
+            try:
+                res = C.local_round(
+                    mcfg,
+                    start,
+                    shard,
+                    ctx,
+                    epochs=cfg.local_epochs,
+                    lr=cfg.lr,
+                    rng=child_rng(cfg.seed, "client", i, "round", t),
+                    batch_size=cfg.batch_size,
+                    prox_mu=cfg.prox_mu if cfg.method == "fedprox" else 0.0,
+                    prox_ref=global_params if cfg.method == "fedprox" else None,
+                    overlap=overlap,
+                )
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
             results.append(res)
-            local_gates[i] = res.params.gate.copy()
+            local_gates[i] = start.gate + res.param_delta.gate
 
         # Canonical client order for every reduction.
         results.sort(key=lambda r: r.client_id)
         stats = [r.stats for r in results]
-        deltas = [r.delta for r in results]
+        deltas = [r.param_delta for r in results]
         sizes = np.array([st.dataset_size for st in stats], dtype=np.float64)
         p_bar_mat = np.stack([st.p_bar for st in stats])
         mean_p = p_bar_mat.mean(axis=0)
@@ -273,13 +277,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             w_experts = np.tile(size_w, (s, 1))
             updated = np.ones(s, dtype=bool)
 
-        new_params = S.aggregate_experts(global_params, deltas, w_experts, updated)
-        for block in ("embed", "gate", "head"):
-            delta = S.weighted_average(
-                [getattr(r.param_delta, block) for r in results], sizes
-            )
-            getattr(new_params, block)[...] = getattr(global_params, block) + delta
-        global_params = new_params
+        global_params = S.aggregate_experts(global_params, deltas, w_experts, updated, size_w)
 
         # Metrics.
         pre_dis = float(np.mean([total_variation(pb, p_g_new) for pb in p_bar_mat]))

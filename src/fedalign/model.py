@@ -63,36 +63,21 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(*(getattr(self, b).copy() for b in self.BLOCKS))
 
-    def blocks(self):
-        return {b: getattr(self, b) for b in self.BLOCKS}
-
     def check_finite(self):
         for b in self.BLOCKS:
             if not np.all(np.isfinite(getattr(self, b))):
                 raise FloatingPointError(f"non-finite entries in parameter block {b!r}")
 
-    def expert_flat(self, e: int) -> np.ndarray:
-        """Expert e's weights flattened in the documented order w1, b1, w2, b2."""
-        return np.concatenate(
-            [
-                self.expert_w1[e].ravel(),
-                self.expert_b1[e].ravel(),
-                self.expert_w2[e].ravel(),
-                self.expert_b2[e].ravel(),
-            ]
-        )
 
-    def set_expert_flat(self, e: int, flat: np.ndarray):
-        w1, b1 = self.expert_w1[e], self.expert_b1[e]
-        w2, b2 = self.expert_w2[e], self.expert_b2[e]
-        sizes = [w1.size, b1.size, w2.size, b2.size]
-        if flat.size != sum(sizes):
-            raise ValueError("flattened expert size mismatch")
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        self.expert_w1[e] = parts[0].reshape(w1.shape)
-        self.expert_b1[e] = parts[1].reshape(b1.shape)
-        self.expert_w2[e] = parts[2].reshape(w2.shape)
-        self.expert_b2[e] = parts[3].reshape(b2.shape)
+EXPERT_BLOCKS = ("expert_w1", "expert_b1", "expert_w2", "expert_b2")
+
+
+def expert_rows(params: ModelParams, experts: slice = slice(None)) -> np.ndarray:
+    """One row per selected expert: its w1|b1|w2|b2 concatenated in row-major
+    order, (S, P) by default. Update cosines and the upload payload use it."""
+    parts = [getattr(params, b)[experts] for b in EXPERT_BLOCKS]
+    n = parts[0].shape[0]
+    return np.concatenate([p.reshape(n, -1) for p in parts], axis=1)
 
 
 def init_params(config: MoEConfig, rng: np.random.Generator) -> ModelParams:
@@ -358,10 +343,12 @@ def save_checkpoint(path, config: MoEConfig, params: ModelParams):
 
 def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, d, h, s, k, c, eh = struct.unpack("<7I", fh.read(28))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ValueError(f"truncated checkpoint header: {len(header)} of 32 bytes")
+        if header[:4] != CKPT_MAGIC:
+            raise ValueError(f"bad checkpoint magic {header[:4]!r}")
+        version, d, h, s, k, c, eh = struct.unpack("<7I", header[4:])
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         config = MoEConfig(d, h, s, k, c, eh)

@@ -2,21 +2,26 @@
 global routing reference, semantic-aware expert aggregation with adaptive
 thresholds, and size-weighted averaging for the remaining blocks.
 
-All reductions accumulate in ascending client-id order so results are
-bitwise reproducible under permutations of the upload list.
+A client update is a `ModelParams` of deltas. Every block is aggregated by
+the one kernel `weighted_average`, which accumulates in ascending client
+order, so results are bitwise reproducible under permutations of the
+upload list once it is sorted by client id.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as M
-from .client import ExpertDelta, RoutingStats
 from .numeric import NORM_FLOOR, cosine_sim, sigmoid
+
+if TYPE_CHECKING:  # client imports baselines, which imports this module
+    from .client import RoutingStats
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +46,6 @@ class AggregationReport:
     dispersion: np.ndarray  # (S,) Sigma(e)
     pairwise_sim: np.ndarray  # (S, N, N)
     tau: np.ndarray  # (S,)
-    uniform_fallback: np.ndarray = field(default=None)  # (S,) bool
 
     def to_json_record(self) -> str:
         rec = {
@@ -94,28 +98,29 @@ def global_routing(stats: list[RoutingStats], omega: np.ndarray) -> np.ndarray:
 
 
 def pairwise_semantics(
-    stats: list[RoutingStats], deltas: list[ExpertDelta]
+    stats: list[RoutingStats], deltas: list[M.ModelParams]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise semantic similarity S and direction consensus D per expert.
 
-    Any pair where either mu is empty-flagged or either delta is zero is
-    excluded from consensus: both entries are set to 0.
+    D compares the clients' `model.expert_rows` of the update. Any pair
+    where either mu is empty-flagged or either delta is zero is excluded
+    from consensus: both entries are set to 0.
     """
     n = len(stats)
     s = stats[0].p_bar.size
     sim = np.zeros((s, n, n))
     dcons = np.zeros((s, n, n))
     for e in range(s):
+        rows = np.concatenate([M.expert_rows(d, slice(e, e + 1)) for d in deltas])
         valid = [
-            not stats[i].mu_empty[e]
-            and np.linalg.norm(deltas[i].flat[e]) >= NORM_FLOOR
+            not stats[i].mu_empty[e] and np.linalg.norm(rows[i]) >= NORM_FLOOR
             for i in range(n)
         ]
         for i in range(n):
             for j in range(i, n):
                 if valid[i] and valid[j]:
                     sv = cosine_sim(stats[i].mu[e], stats[j].mu[e])
-                    dv = cosine_sim(deltas[i].flat[e], deltas[j].flat[e])
+                    dv = cosine_sim(rows[i], rows[j])
                     sim[e, i, j] = sim[e, j, i] = sv
                     dcons[e, i, j] = dcons[e, j, i] = dv
     return sim, dcons
@@ -166,38 +171,40 @@ def expert_weights(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def aggregate_experts(
     global_params: M.ModelParams,
-    deltas: list[ExpertDelta],
+    deltas: list[M.ModelParams],
     weights: np.ndarray,
     updated: np.ndarray,
+    size_weights: np.ndarray,
 ) -> M.ModelParams:
-    """Apply theta_e += sum_i w_i(e) * delta_i(e) for updated experts.
+    """One round's new global model: every block plus the weighted sum of
+    the client deltas in ascending client order.
 
-    Accumulation runs in ascending client order; skipped experts keep their
-    previous parameters unchanged.
+    Expert blocks take the per-expert weights (S, N); experts not `updated`
+    keep their previous bytes. The other blocks take size_weights (N,).
     """
-    out = global_params.copy()
-    s = weights.shape[0]
-    for e in range(s):
-        if not updated[e]:
-            continue
-        acc = np.zeros_like(deltas[0].flat[e])
-        for i in range(len(deltas)):
-            acc += weights[e, i] * deltas[i].flat[e]
-        out.set_expert_flat(e, out.expert_flat(e) + acc)
-    return out
+    frozen = ~np.asarray(updated, dtype=bool)
+    out = []
+    for b in M.ModelParams.BLOCKS:
+        old = getattr(global_params, b)
+        is_expert = b in M.EXPERT_BLOCKS
+        new = old + weighted_average(
+            [getattr(d, b) for d in deltas], weights if is_expert else size_weights
+        )
+        if is_expert:
+            new[frozen] = old[frozen]
+        out.append(new)
+    return M.ModelParams(*out)
 
 
-def weighted_average(blocks: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
-    """Dataset-size-weighted mean of same-shaped arrays, ascending order."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    w = sizes / sizes.sum()
+def weighted_average(blocks: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., i] * blocks[i], accumulated in ascending order.
+
+    weights are already normalized: (N,), or (S, N) with row e applied to
+    entry e of each block's leading (expert) axis.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
     acc = np.zeros_like(blocks[0])
-    for wi, blk in zip(w, blocks):
-        acc += wi * blk
+    for i, blk in enumerate(blocks):
+        w = weights[..., i]
+        acc += w.reshape(w.shape + (1,) * (blk.ndim - w.ndim)) * blk
     return acc
-
-
-def aggregate_gating(gating_params: list[np.ndarray], sizes) -> np.ndarray:
-    """Size-weighted average of the gating matrices (broadcast plumbing; the
-    alignment itself operates on routing distributions, not parameters)."""
-    return weighted_average(gating_params, sizes)

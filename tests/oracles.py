@@ -78,3 +78,50 @@ def dense_mixture_loss(params, x, labels):
         logp = logits - math.log(np.exp(logits).sum())
         loss += -logp[labels[n]]
     return loss / b
+
+
+EXPERT_BLOCKS = ("expert_w1", "expert_b1", "expert_w2", "expert_b2")
+
+
+def flat_expert_rows(params):
+    """(S, P) rows of w1|b1|w2|b2 per expert, each block raveled row-major
+    (the README's per-expert vector layout)."""
+    import numpy as np
+
+    s = params.expert_w1.shape[0]
+    return np.stack([
+        np.concatenate([getattr(params, b)[e].ravel() for b in EXPERT_BLOCKS])
+        for e in range(s)
+    ])
+
+
+def aggregate_round_flat(global_params, deltas, weights, updated, sizes):
+    """Reference for the server's per-block kernel: the round computed one
+    expert at a time. Experts go through flattened (S, P) update rows:
+    theta_e += sum_i w_i(e) * delta_i(e) in ascending client order, then
+    unflattened into the four expert blocks; experts not updated are left
+    alone. embed, gate and head get the size-weighted mean of the deltas,
+    weights normalized from `sizes`. Returns a dict of the seven new
+    blocks."""
+    import numpy as np
+
+    flats = [flat_expert_rows(d) for d in deltas]
+    out = {b: getattr(global_params, b).copy() for b in EXPERT_BLOCKS}
+    for e in range(weights.shape[0]):
+        if not updated[e]:
+            continue
+        acc = np.zeros_like(flats[0][e])
+        for i in range(len(flats)):
+            acc += weights[e, i] * flats[i][e]
+        cur = np.concatenate([out[b][e].ravel() for b in EXPERT_BLOCKS]) + acc
+        cuts = np.cumsum([out[b][e].size for b in EXPERT_BLOCKS])[:-1]
+        for b, part in zip(EXPERT_BLOCKS, np.split(cur, cuts)):
+            out[b][e] = part.reshape(out[b][e].shape)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    w = sizes / sizes.sum()
+    for b in ("embed", "gate", "head"):
+        acc = np.zeros_like(getattr(deltas[0], b))
+        for wi, d in zip(w, deltas):
+            acc += wi * getattr(d, b)
+        out[b] = getattr(global_params, b) + acc
+    return out

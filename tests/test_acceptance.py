@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import expert_delta
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -198,14 +199,14 @@ def test_criterion_4_homogeneity_fixed_point(report):
                            np.zeros(s, bool), 10)
             for _ in range(n)
         ]
-        deltas = [C.ExpertDelta(d.copy(), np.ones(s, bool)) for _ in range(n)]
+        deltas = [expert_delta(d) for _ in range(n)]
         omega = S.consistency_weights(stats)
         p_g = S.global_routing(stats, omega)
         sim, dcons = S.pairwise_semantics(stats, deltas)
         tau, _, _ = S.adaptive_threshold(sim, 0.5)
         w, updated = S.expert_weights(S.gated_weights(sim, dcons, tau))
         update = np.einsum("en,enp->ep", w,
-                           np.stack([dl.flat for dl in deltas], axis=1))
+                           np.stack([M.expert_rows(dl) for dl in deltas], axis=1))
         worst = max(
             worst,
             float(np.abs(omega - 1.0 / n).max()),
@@ -227,8 +228,7 @@ def test_criterion_5_permutation_equivariance(report):
                        np.zeros(s, bool), int(rng.integers(5, 20)))
         for _ in range(n)
     ]
-    deltas = [C.ExpertDelta(rng.normal(size=(s, p)), np.ones(s, bool))
-              for _ in range(n)]
+    deltas = [expert_delta(rng.normal(size=(s, p))) for _ in range(n)]
 
     def pipeline(order):
         st = [stats[i] for i in order]
@@ -240,10 +240,10 @@ def test_criterion_5_permutation_equivariance(report):
         w, updated = S.expert_weights(S.gated_weights(sim, dcons, tau))
         # Canonical accumulation: ascending original client id.
         inv = np.argsort(order)
-        agg = np.zeros((s, p))
+        agg = np.zeros_like(M.expert_rows(dl[0]))
         for e in range(s):
             for i in inv:
-                agg[e] += w[e, i] * dl[i].flat[e]
+                agg[e] += w[e, i] * M.expert_rows(dl[i])[e]
         return p_g, tau, agg
 
     base = pipeline(np.arange(n))

@@ -3,27 +3,13 @@
 import numpy as np
 import pytest
 
-from fedalign.baselines import BaselineKind, fedavg_aggregate, prox_term
+from fedalign.baselines import fedavg_aggregate, prox_term
 from fedalign.model import MoEConfig, ModelParams, init_params
 
 
 def make_params(seed):
     config = MoEConfig(2, 3, 2, 1, 2, 3)
     return init_params(config, np.random.default_rng(seed))
-
-
-class TestBaselineKind:
-    def test_valid(self):
-        BaselineKind("fedavg")
-        BaselineKind("fedprox", prox_mu=0.01)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            BaselineKind("fedsgd")
-        with pytest.raises(ValueError):
-            BaselineKind("fedprox", prox_mu=0.0)
-        with pytest.raises(ValueError):
-            BaselineKind("fedavg", prox_mu=0.5)
 
 
 class TestFedavgAggregate:

@@ -1,13 +1,16 @@
 """Client-side tests: routing statistics, the regularizer, local training
 behaviour, and the upload payload roundtrip."""
 
+import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+from helpers import apply_delta
 from fedalign.client import (
     RegContext,
     compute_alpha,
@@ -20,7 +23,7 @@ from fedalign.client import (
     save_upload,
 )
 from fedalign.data import ClientDataset
-from fedalign.model import MoEConfig, ModelParams, forward, init_params
+from fedalign.model import MoEConfig, ModelParams, expert_rows, forward, init_params
 
 
 def make_setup(seed=0, n=32, s=3, k=1, classes=3):
@@ -33,20 +36,18 @@ def make_setup(seed=0, n=32, s=3, k=1, classes=3):
     x = rng.normal(size=(n, config.input_dim))
     y = rng.integers(0, classes, size=n)
     shard = ClientDataset(0, x, y)
-    ctx = RegContext(
-        p_g=np.full(s, 1.0 / s), eta=0.1, lam=0.1, alpha=np.ones(s)
-    )
+    ctx = RegContext(p_g=np.full(s, 1.0 / s), lam=0.1, alpha=np.ones(s))
     return config, params, shard, ctx
 
 
 class TestRegContext:
     def test_rejects_negative_lam(self):
         with pytest.raises(ValueError):
-            RegContext(np.array([0.5, 0.5]), 0.1, -1.0, np.ones(2))
+            RegContext(np.array([0.5, 0.5]), -1.0, np.ones(2))
 
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
-            RegContext(np.array([0.7, 0.7]), 0.1, 0.1, np.ones(2))
+            RegContext(np.array([0.7, 0.7]), 0.1, np.ones(2))
 
 
 class TestPBar:
@@ -126,17 +127,17 @@ class TestRegLoss:
     def test_zero_when_matching(self):
         p = np.array([0.5, 0.3, 0.2])
         trace = SimpleNamespace(batch_size=2, full_probs=np.stack([p, p]))
-        ctx = RegContext(p, 0.1, 0.1, np.ones(3))
+        ctx = RegContext(p, 0.1, np.ones(3))
         assert reg_loss(trace, ctx, 3) == 0.0
 
     def test_zero_alpha(self):
         trace = SimpleNamespace(batch_size=1, full_probs=np.array([[0.9, 0.1]]))
-        ctx = RegContext(np.array([0.5, 0.5]), 0.1, 0.1, np.zeros(2))
+        ctx = RegContext(np.array([0.5, 0.5]), 0.1, np.zeros(2))
         assert reg_loss(trace, ctx, 1) == 0.0
 
     def test_hand_value(self):
         trace = SimpleNamespace(batch_size=1, full_probs=np.array([[0.9, 0.1]]))
-        ctx = RegContext(np.array([0.5, 0.5]), 0.1, 0.1, np.ones(2))
+        ctx = RegContext(np.array([0.5, 0.5]), 0.1, np.ones(2))
         assert abs(reg_loss(trace, ctx, 2) - oracles.MASKED_KL_09_05) < 1e-9
 
 
@@ -147,9 +148,10 @@ class TestLocalRound:
             config, params, shard, ctx, epochs=2, lr=0.0,
             rng=np.random.default_rng(0),
         )
-        assert np.all(res.delta.flat == 0.0)
+        assert np.all(expert_rows(res.param_delta) == 0.0)
+        new = apply_delta(params, res.param_delta)
         for b in ModelParams.BLOCKS:
-            assert np.array_equal(getattr(res.params, b), getattr(params, b))
+            assert np.array_equal(getattr(new, b), getattr(params, b))
         trace, _ = forward(config, params, shard.features, shard.labels)
         np.testing.assert_allclose(res.stats.p_bar, compute_p_bar(trace), atol=1e-12)
         np.testing.assert_allclose(res.stats.margin, compute_margin(trace), atol=1e-12)
@@ -158,12 +160,13 @@ class TestLocalRound:
         # The regularizer disappears both when lam=0 and when every alpha is
         # zero; the trained parameters must agree bitwise.
         config, params, shard, ctx = make_setup()
-        ctx0 = RegContext(ctx.p_g, ctx.eta, 0.0, np.ones(3))
-        ctxa = RegContext(ctx.p_g, ctx.eta, 0.5, np.zeros(3))
+        ctx0 = RegContext(ctx.p_g, 0.0, np.ones(3))
+        ctxa = RegContext(ctx.p_g, 0.5, np.zeros(3))
         r0 = local_round(config, params, shard, ctx0, 2, 0.1, np.random.default_rng(4))
         ra = local_round(config, params, shard, ctxa, 2, 0.1, np.random.default_rng(4))
+        new0, newa = apply_delta(params, r0.param_delta), apply_delta(params, ra.param_delta)
         for b in ModelParams.BLOCKS:
-            assert np.array_equal(getattr(r0.params, b), getattr(ra.params, b))
+            assert np.array_equal(getattr(new0, b), getattr(newa, b))
         assert ra.mean_reg_loss == 0.0
 
     def test_separable_task_trains(self):
@@ -177,11 +180,11 @@ class TestLocalRound:
         means = np.array([[-2.0, 0.0], [2.0, 0.0]])
         x = means[labels] + rng.normal(0.0, 0.3, size=(n, 2))
         shard = ClientDataset(0, x, labels)
-        ctx = RegContext(np.array([0.5, 0.5]), 0.1, 0.0, np.ones(2))
+        ctx = RegContext(np.array([0.5, 0.5]), 0.0, np.ones(2))
         params = init_params(config, rng)
         res = local_round(config, params, shard, ctx, epochs=20, lr=0.2,
                           rng=np.random.default_rng(12))
-        trace, _ = forward(config, res.params, x, labels)
+        trace, _ = forward(config, apply_delta(params, res.param_delta), x, labels)
         acc = float((np.argmax(trace.logits, axis=1) == labels).mean())
         assert acc >= 0.95
 
@@ -210,8 +213,8 @@ class TestLocalRound:
         assert res.stats.p_bar[2] == 0.0
         assert res.stats.margin[2] == 0.0
         assert res.stats.mu_empty[2]
-        assert np.all(res.delta.flat[2] == 0.0)
-        assert not res.delta.activated[2]
+        assert np.all(expert_rows(res.param_delta)[2] == 0.0)
+        assert not res.activated[2]
 
     def test_loss_linear_in_lambda(self):
         # d L_total / d lam equals the regularizer value at fixed parameters.
@@ -229,7 +232,7 @@ class TestLocalRound:
         # frozen batch must not increase TV(p_bar, p_g). Fixed seed.
         config, params, shard, ctx = make_setup(seed=5, n=24)
         p_g = np.array([0.7, 0.2, 0.1])
-        strong = RegContext(p_g, 0.1, 1.0, np.ones(3))
+        strong = RegContext(p_g, 1.0, np.ones(3))
         before, _ = forward(config, params, shard.features, shard.labels)
         tv0 = 0.5 * np.abs(compute_p_bar(before) - p_g).sum()
         res = local_round(config, params, shard, strong, epochs=1, lr=0.05,
@@ -244,15 +247,18 @@ class TestLocalRound:
 
 
 class TestUploadRoundtrip:
-    def test_roundtrip(self, tmp_path):
+    def _saved(self, tmp_path):
         config, params, shard, ctx = make_setup()
-        res = local_round(config, params, shard, ctx, 1, 0.1,
-                          np.random.default_rng(0))
+        res = local_round(config, params, shard, ctx, 1, 0.1, np.random.default_rng(0))
         prefix = tmp_path / "upload_c0"
         save_upload(prefix, config, res)
-        delta, stats, side = load_upload(prefix)
-        assert np.array_equal(delta.flat, res.delta.flat)
-        assert np.array_equal(delta.activated, res.delta.activated)
+        return config, res, prefix
+
+    def test_roundtrip(self, tmp_path):
+        _, res, prefix = self._saved(tmp_path)
+        rows, activated, stats, side = load_upload(prefix)
+        assert np.array_equal(rows, expert_rows(res.param_delta))
+        assert np.array_equal(activated, res.activated)
         assert np.array_equal(stats.mu, res.stats.mu)
         np.testing.assert_allclose(stats.p_bar, res.stats.p_bar, atol=0)
         np.testing.assert_allclose(stats.margin, res.stats.margin, atol=0)
@@ -264,3 +270,39 @@ class TestUploadRoundtrip:
         (tmp_path / "x.json").write_text("{}")
         with pytest.raises(ValueError):
             load_upload(tmp_path / "x")
+
+    def test_bytes_follow_readme_layout(self, tmp_path):
+        # Parsed from the documented layout alone, without load_upload.
+        config, res, prefix = self._saved(tmp_path)
+        raw = (tmp_path / "upload_c0.bin").read_bytes()
+        assert raw[:4] == b"FUP1"
+        s, p, h = struct.unpack("<3I", raw[4:16])
+        assert (s, p, h) == (config.num_experts, expert_rows(res.param_delta).shape[1],
+                             config.hidden_dim)
+        assert len(raw) == 16 + 8 * s * (p + h)
+        body = np.frombuffer(raw, dtype="<f8", offset=16)
+        assert np.array_equal(body[: s * p].reshape(s, p),
+                              oracles.flat_expert_rows(res.param_delta))
+        assert np.array_equal(body[s * p :].reshape(s, h), res.stats.mu)
+
+    def test_truncated_or_padded_bin_rejected(self, tmp_path):
+        _, _, prefix = self._saved(tmp_path)
+        path = tmp_path / "upload_c0.bin"
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated upload"):
+                load_upload(prefix)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_upload(prefix)
+
+    @pytest.mark.parametrize("key", ["p_bar", "margin", "mu_empty", "activated"])
+    def test_sidecar_length_must_match_header(self, tmp_path, key):
+        _, _, prefix = self._saved(tmp_path)
+        path = tmp_path / "upload_c0.json"
+        side = json.loads(path.read_text())
+        side[key] = side[key][:-1]
+        path.write_text(json.dumps(side))
+        with pytest.raises(ValueError, match=key):
+            load_upload(prefix)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import apply_delta
 from fedalign import client as C
 from fedalign import model as M
 from fedalign.cli import main as cli_main
@@ -97,10 +98,10 @@ class TestEvaluate:
         from fedalign.data import ClientDataset
 
         shard = ClientDataset(0, x, y)
-        ctx = RegContext(np.full(3, 1 / 3), 0.1, 0.0, np.ones(3))
+        ctx = RegContext(np.full(3, 1 / 3), 0.0, np.ones(3))
         res = local_round(mcfg, params, shard, ctx, epochs=20, lr=0.2,
                           rng=np.random.default_rng(0))
-        assert evaluate(mcfg, res.params, x, y) == 1.0
+        assert evaluate(mcfg, apply_delta(params, res.param_delta), x, y) == 1.0
 
     def test_untrained_model_near_chance(self):
         cfg = ExperimentConfig()
@@ -129,7 +130,7 @@ class TestRoundLoop:
                                      child_rng(cfg.seed, "partition"))
         init = M.init_params(mcfg, child_rng(cfg.seed, "init"))
         s = cfg.num_experts
-        ctx = C.RegContext(np.full(s, 1 / s), cfg.eta, 0.0,
+        ctx = C.RegContext(np.full(s, 1 / s), 0.0,
                            C.compute_alpha(np.full(s, 1 / s) * np.full(s, 1 / s), cfg.eta))
         res = C.local_round(
             mcfg, init, shards[0], ctx, epochs=cfg.local_epochs, lr=cfg.lr,
@@ -231,6 +232,28 @@ class TestCli:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["seed"] == 3 and summary["method"] == "fedavg"
+
+    def test_infeasible_partition_exit_2(self, tmp_path, capsys):
+        # 60 clients cannot all receive data from 90 samples at alpha 0.01.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(dict(TINY, num_clients=60, dirichlet_alpha=0.01)))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        assert any("60 clients" in d and "100 draws" in d for d in err["details"])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_exit_3(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        # The first SGD step sends the parameters to ~1e299; the next
+        # forward pass overflows.
+        cfg_file.write_text(json.dumps(dict(TINY, lr=1e300)))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "diverged"
+        assert "round 1, client 0" in err["details"]
 
 
 class TestDirectionalProperties:

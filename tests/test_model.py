@@ -253,6 +253,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(bad)
 
+    def test_every_truncation_named(self, tmp_path):
+        config = small_config()
+        params, _, _ = small_batch(config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, config, params)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_checkpoint(bad)
+        bad.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(bad)
+
 
 def test_zeros_like_params():
     config = small_config()

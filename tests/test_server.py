@@ -6,14 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from fedalign.client import ExpertDelta, RoutingStats
-from fedalign.model import MoEConfig, init_params
+from helpers import expert_delta
+from fedalign.client import RoutingStats
+from fedalign.model import MoEConfig, expert_rows, init_params
 from fedalign.server import (
     adaptive_threshold,
     aggregate_experts,
-    aggregate_gating,
     consistency_weights,
     expert_weights,
     gated_weights,
@@ -116,8 +118,8 @@ def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
                    mu_empty=np.array([empty2, False])),
     ]
     deltas = [
-        ExpertDelta(flat=np.array([d1, [1.0, 0.0]]), activated=np.ones(2, bool)),
-        ExpertDelta(flat=np.array([d2, [1.0, 0.0]]), activated=np.ones(2, bool)),
+        expert_delta(np.array([d1, [1.0, 0.0]])),
+        expert_delta(np.array([d2, [1.0, 0.0]])),
     ]
     return pairwise_semantics(st, deltas)
 
@@ -226,71 +228,112 @@ class TestExpertAggregation:
     def test_hand_weighted_sum(self):
         config = MoEConfig(2, 2, 1, 1, 2, 1)
         params = init_params(config, np.random.default_rng(0))
-        base = params.expert_flat(0).copy()
+        base = expert_rows(params)[0]
         p = base.size
         d1 = np.zeros(p); d1[0] = 2.0
         d2 = np.zeros(p); d2[1] = 2.0
-        deltas = [
-            ExpertDelta(flat=d1[None, :], activated=np.ones(1, bool)),
-            ExpertDelta(flat=d2[None, :], activated=np.ones(1, bool)),
-        ]
+        deltas = [expert_delta(d1[None, :], params), expert_delta(d2[None, :], params)]
         w = np.array([[0.75, 0.25]])
-        out = aggregate_experts(params, deltas, w, np.array([True]))
-        got = out.expert_flat(0) - base
+        out = aggregate_experts(params, deltas, w, np.array([True]), w[0])
+        got = expert_rows(out)[0] - base
         np.testing.assert_allclose(got[:2], oracles.EXPERT_UPDATE, atol=1e-12)
         assert np.all(got[2:] == 0.0)
 
     def test_identical_deltas_pass_through(self):
         config = MoEConfig(2, 2, 1, 1, 2, 1)
         params = init_params(config, np.random.default_rng(0))
-        base = params.expert_flat(0).copy()
+        base = expert_rows(params)[0]
         d = np.random.default_rng(1).normal(size=base.size)
-        deltas = [ExpertDelta(flat=d[None, :], activated=np.ones(1, bool))] * 3
+        deltas = [expert_delta(d[None, :], params)] * 3
         w = np.full((1, 3), 1.0 / 3.0)
-        out = aggregate_experts(params, deltas, w, np.array([True]))
-        np.testing.assert_allclose(out.expert_flat(0) - base, d, atol=1e-12)
+        out = aggregate_experts(params, deltas, w, np.array([True]), w[0])
+        np.testing.assert_allclose(expert_rows(out)[0] - base, d, atol=1e-12)
 
     def test_skipped_expert_frozen(self):
         config = MoEConfig(2, 2, 2, 1, 2, 1)
         params = init_params(config, np.random.default_rng(0))
-        before = params.expert_flat(1).copy()
+        before = expert_rows(params)[1]
         d = np.ones((2, before.size))
-        deltas = [ExpertDelta(flat=d, activated=np.ones(2, bool))]
+        deltas = [expert_delta(d, params)]
         out = aggregate_experts(params, deltas, np.ones((2, 1)),
-                                np.array([True, False]))
-        assert np.array_equal(out.expert_flat(1), before)
+                                np.array([True, False]), np.ones(1))
+        assert np.array_equal(expert_rows(out)[1], before)
 
     def test_single_client_self_consensus(self):
         config = MoEConfig(2, 2, 1, 1, 2, 1)
         params = init_params(config, np.random.default_rng(0))
-        base = params.expert_flat(0).copy()
+        base = expert_rows(params)[0]
         d = np.random.default_rng(2).normal(size=base.size)
-        deltas = [ExpertDelta(flat=d[None, :], activated=np.ones(1, bool))]
+        deltas = [expert_delta(d[None, :], params)]
         gamma = np.full((1, 1, 1), 0.5)
         w, updated = expert_weights(gamma)
-        out = aggregate_experts(params, deltas, w, updated)
-        np.testing.assert_allclose(out.expert_flat(0) - base, d, atol=1e-12)
+        out = aggregate_experts(params, deltas, w, updated, np.ones(1))
+        np.testing.assert_allclose(expert_rows(out)[0] - base, d, atol=1e-12)
 
 
 class TestWeightedAverage:
     def test_identity(self):
         blocks = [np.array([1.0, 2.0])] * 3
         np.testing.assert_allclose(
-            weighted_average(blocks, np.array([1.0, 1, 1])), [1.0, 2.0], atol=1e-12
+            weighted_average(blocks, np.full(3, 1.0 / 3.0)), [1.0, 2.0], atol=1e-12
         )
 
     def test_cancellation(self):
         theta = np.array([3.0, -1.0])
-        out = weighted_average([theta, -theta], np.array([1.0, 1.0]))
+        out = weighted_average([theta, -theta], np.array([0.5, 0.5]))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_weighted_mean(self):
-        out = weighted_average([np.array([0.0]), np.array([4.0])], np.array([1.0, 3.0]))
+        out = weighted_average([np.array([0.0]), np.array([4.0])], np.array([0.25, 0.75]))
         assert abs(out[0] - 3.0) < 1e-12
 
-    def test_gating_alias(self):
-        out = aggregate_gating([np.array([1.0]), np.array([3.0])], np.array([2.0, 2.0]))
-        assert abs(out[0] - 2.0) < 1e-12
+
+class TestAggregationKernel:
+    """The per-block kernel against the flat per-expert oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        s=st.integers(1, 4),
+        h=st.integers(1, 3),
+        eh=st.integers(1, 3),
+        zero_rows=st.floats(0.0, 1.0),
+        freeze=st.sampled_from(["none", "random", "all"]),
+    )
+    def test_matches_flat_oracle(self, seed, n, s, h, eh, zero_rows, freeze):
+        rng = np.random.default_rng(seed)
+        config = MoEConfig(2, h, s, 1, 3, eh)
+        start = init_params(config, rng)
+        # Negative zeros in the start model: frozen experts must keep them.
+        start.expert_b1[...] = -0.0
+        deltas = [
+            expert_delta(rng.normal(size=expert_rows(start).shape), start) for _ in range(n)
+        ]
+        for d in deltas:
+            d.embed, d.gate, d.head = (
+                rng.normal(size=getattr(start, b).shape) for b in ("embed", "gate", "head")
+            )
+        raw = rng.uniform(0.0, 1.0, size=(s, n))
+        raw[rng.uniform(size=s) < zero_rows] = 0.0
+        weights = raw / np.maximum(raw.sum(axis=1, keepdims=True), 1.0)
+        updated = {"none": np.ones(s, bool), "all": np.zeros(s, bool),
+                   "random": rng.uniform(size=s) < 0.5}[freeze]
+        sizes = rng.integers(1, 50, size=n).astype(np.float64)
+
+        got = aggregate_experts(start, deltas, weights, updated, sizes / sizes.sum())
+        want = oracles.aggregate_round_flat(start, deltas, weights, updated, sizes)
+        for b, arr in want.items():
+            # Byte equality also tells -0.0 from 0.0.
+            assert getattr(got, b).tobytes() == arr.tobytes(), b
+            assert np.array_equal(getattr(got, b), arr), b
+
+    def test_rows_follow_readme_order(self):
+        params = init_params(MoEConfig(3, 4, 3, 2, 3, 5), np.random.default_rng(0))
+        assert np.array_equal(expert_rows(params), oracles.flat_expert_rows(params))
+        assert np.array_equal(
+            expert_rows(params, slice(1, 2)), oracles.flat_expert_rows(params)[1:2]
+        )
 
 
 class TestPermutationEquivariance:
@@ -302,10 +345,7 @@ class TestPermutationEquivariance:
                        mu=rng.normal(size=(s, 2)))
             for _ in range(n)
         ]
-        deltas = [
-            ExpertDelta(flat=rng.normal(size=(s, p)), activated=np.ones(s, bool))
-            for _ in range(n)
-        ]
+        deltas = [expert_delta(rng.normal(size=(s, p))) for _ in range(n)]
 
         def pipeline(st, dl):
             omega = consistency_weights(st)
@@ -314,10 +354,10 @@ class TestPermutationEquivariance:
             tau, _, _ = adaptive_threshold(sim, 0.5)
             gamma = gated_weights(sim, dcons, tau)
             w, updated = expert_weights(gamma)
-            agg = np.zeros((s, p))
+            agg = np.zeros_like(expert_rows(dl[0]))
             for e in range(s):
                 for i in range(len(dl)):
-                    agg[e] += w[e, i] * dl[i].flat[e]
+                    agg[e] += w[e, i] * expert_rows(dl[i])[e]
             return p_g, tau, agg
 
         perm = [3, 1, 4, 0, 2]
@@ -340,8 +380,7 @@ class TestHomogeneityFixedPoint:
         mu = rng.normal(size=(s, 2))
         d = rng.normal(size=(s, p))
         stats = [make_stats(p_bar, margin, mu=mu) for _ in range(n)]
-        deltas = [ExpertDelta(flat=d.copy(), activated=np.ones(s, bool))
-                  for _ in range(n)]
+        deltas = [expert_delta(d) for _ in range(n)]
         omega = consistency_weights(stats)
         np.testing.assert_allclose(omega, 1.0 / n, atol=1e-9)
         p_g = global_routing(stats, omega)
@@ -356,5 +395,5 @@ class TestHomogeneityFixedPoint:
         acc = np.zeros((s, p))
         for e in range(s):
             for i in range(n):
-                acc[e] += w[e, i] * deltas[i].flat[e]
+                acc[e] += w[e, i] * expert_rows(deltas[i])[e, :p]
         np.testing.assert_allclose(acc, d, atol=1e-9)
