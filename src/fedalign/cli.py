@@ -7,6 +7,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .harness import ConfigError, ExperimentConfig, run_experiment
 
 
@@ -57,7 +59,11 @@ def main(argv=None) -> int:
         errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
         return _fail("invalid-config", errors, 2)
     try:
-        result = run_experiment(cfg, out_dir=args.out)
+        # A diverging run overflows in numpy before the explicit finiteness
+        # checks raise; keep numpy's warnings off stderr so the error JSON is
+        # its only line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_experiment(cfg, out_dir=args.out)
     except ConfigError as exc:
         return _fail("invalid-config", exc.errors, 2)
     except FloatingPointError as exc:

@@ -4,6 +4,7 @@ partitioning across clients."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,14 +131,36 @@ def dump_clients_csv(shards: list[ClientDataset], path):
 
 
 def load_clients_csv(path) -> list[ClientDataset]:
+    """Read a `dump_clients_csv` file back into shards, by ascending client id.
+
+    A missing header, a row whose field count differs from the header's, a
+    non-integer client id or label, or a non-numeric or non-finite feature
+    raises ValueError naming the path and line.
+    """
     by_client: dict[int, tuple[list, list]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
+        header = next(reader, [])
+        if header[:2] != ["client_id", "label"] or len(header) < 3:
+            raise ValueError(
+                f"{path}: line 1: missing header client_id,label,f0,...; got {header!r}"
+            )
         for row in reader:
-            cid, lab = int(row[0]), int(row[1])
-            feats = [float(v) for v in row[2 : 2 + d]]
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, header has {len(header)}")
+            try:
+                cid, lab = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{where}: client_id and label must be integers, got {row[:2]}"
+                ) from None
+            try:
+                feats = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-numeric feature: {exc}") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{where}: non-finite feature")
             by_client.setdefault(cid, ([], []))
             by_client[cid][0].append(feats)
             by_client[cid][1].append(lab)
@@ -148,3 +171,4 @@ def load_clients_csv(path) -> list[ClientDataset]:
             ClientDataset(cid, np.array(feats, dtype=np.float64), np.array(labs, dtype=np.int64))
         )
     return shards
+

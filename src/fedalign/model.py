@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import EPS, softmax
+from .numeric import EPS, kl_term, softmax
 
 CKPT_MAGIC = b"FMOE"
 CKPT_VERSION = 1
@@ -216,34 +216,56 @@ def _logsumexp(logits: np.ndarray) -> np.ndarray:
 
 
 def masked_kl(
-    fp_row: np.ndarray,
+    fp: np.ndarray,
     p_g: np.ndarray,
     alpha: np.ndarray,
     k: int,
     want_grad: bool = False,
 ):
-    """Masked, renormalized KL between one sample's full routing softmax and
+    """Masked, renormalized KL between each sample's full routing softmax and
     the global reference.
 
-    Mask = top-k of the local probabilities union top-k of the reference;
-    both distributions are renormalized over the mask so the comparison is a
-    proper distribution pair. Returns the scalar value, and optionally its
-    gradient with respect to the full softmax vector.
+    `fp` is one softmax row (S,) or a batch (B, S). A row's mask is its own
+    top-k OR the top-k of `p_g`; both distributions are renormalized over
+    the mask so the comparison is a proper distribution pair. Returns the
+    value (a float for a row, (B,) for a batch) and, with `want_grad`, its
+    gradient with respect to `fp`, shaped like `fp`.
+
+    Every sum runs over a row's mask members, gathered in ascending index
+    order into a zero-padded (B, min(2k, S)) array, not over the dense row:
+    numpy sums 8 or more entries pairwise, so dense rows of a wide S would
+    change the last bits of the result.
     """
-    mask = np.union1d(top_k_select(fp_row, k), top_k_select(p_g, k))
-    zp = fp_row[mask].sum()
-    zq = max(p_g[mask].sum(), EPS)
-    pt = fp_row[mask] / max(zp, EPS)
-    qt = np.maximum(p_g[mask] / zq, EPS)
-    terms = np.where(pt > 0.0, pt * np.log(np.maximum(pt, EPS) / qt), 0.0)
-    val = float((alpha[mask] * terms).sum())
+    fp = np.asarray(fp, dtype=np.float64)
+    batch = np.atleast_2d(fp)
+    b, s = batch.shape
+    mask = np.zeros((b, s), dtype=bool)
+    mask[np.arange(b)[:, None], top_k_select(batch, k)] = True
+    mask[:, top_k_select(p_g, k)] = True
+    r, c = np.nonzero(mask)  # row-major, so ascending index within a row
+    slot = np.cumsum(mask, axis=1)[r, c] - 1
+
+    def gather(values):
+        out = np.zeros((b, min(2 * k, s)))
+        out[r, slot] = values
+        return out
+
+    f, q, a = gather(batch[r, c]), gather(p_g[c]), gather(alpha[c])
+    zp = np.maximum(f.sum(axis=1, keepdims=True), EPS)
+    zq = np.maximum(q.sum(axis=1, keepdims=True), EPS)
+    pt = f / zp
+    qt = np.maximum(q / zq, EPS)
+    val = (a * kl_term(pt, qt)).sum(axis=1)
+    if fp.ndim == 1:
+        val = float(val[0])
     if not want_grad:
         return val
     # d val / d pt, then back through the renormalization pt = fp/zp.
-    dpt = alpha[mask] * (np.log(np.maximum(pt, EPS) / qt) + 1.0)
-    dfp = np.zeros_like(fp_row)
-    dfp[mask] = (dpt - (dpt * pt).sum()) / max(zp, EPS)
-    return val, dfp
+    dpt = a * (np.log(np.maximum(pt, EPS) / qt) + 1.0)
+    g = (dpt - (dpt * pt).sum(axis=1, keepdims=True)) / zp
+    dfp = np.zeros((b, s))
+    dfp[r, c] = g[r, slot]
+    return val, dfp.reshape(fp.shape)
 
 
 def backward(
@@ -298,12 +320,9 @@ def backward(
 
     # KL regularizer through the full softmax (batch mean).
     if lam > 0.0 and reg_ctx is not None:
-        dfp = np.zeros_like(trace.full_probs)
-        for i in range(b):
-            _, dfp_i = masked_kl(
-                trace.full_probs[i], reg_ctx.p_g, reg_ctx.alpha, config.top_k, want_grad=True
-            )
-            dfp[i] = dfp_i
+        _, dfp = masked_kl(
+            trace.full_probs, reg_ctx.p_g, reg_ctx.alpha, config.top_k, want_grad=True
+        )
         dfp *= lam / b
         fp = trace.full_probs
         dg += fp * (dfp - (fp * dfp).sum(axis=1, keepdims=True))

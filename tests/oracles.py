@@ -125,3 +125,32 @@ def aggregate_round_flat(global_params, deltas, weights, updated, sizes):
             acc += wi * getattr(d, b)
         out[b] = getattr(global_params, b) + acc
     return out
+
+
+def masked_kl_row(fp_row, p_g, alpha, k, want_grad=False):
+    """Reference for `model.masked_kl`: one sample at a time.
+
+    Mask = top-k of the row union top-k of p_g (ties to the lower index);
+    both distributions renormalized over the mask, every denominator and
+    log argument floored at 1e-8, and 0 * log 0 = 0. Returns the value and,
+    optionally, the gradient with respect to the full row."""
+    import numpy as np
+
+    eps = 1e-8
+
+    def top_k(v):
+        return np.sort(np.argsort(-v, kind="stable")[:k])
+
+    mask = np.union1d(top_k(fp_row), top_k(p_g))
+    zp = fp_row[mask].sum()
+    zq = max(p_g[mask].sum(), eps)
+    pt = fp_row[mask] / max(zp, eps)
+    qt = np.maximum(p_g[mask] / zq, eps)
+    terms = np.where(pt > 0.0, pt * np.log(np.maximum(pt, eps) / qt), 0.0)
+    val = float((alpha[mask] * terms).sum())
+    if not want_grad:
+        return val
+    dpt = alpha[mask] * (np.log(np.maximum(pt, eps) / qt) + 1.0)
+    dfp = np.zeros_like(fp_row)
+    dfp[mask] = (dpt - (dpt * pt).sum()) / max(zp, eps)
+    return val, dfp

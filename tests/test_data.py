@@ -1,6 +1,7 @@
 """Data generation and Dirichlet partitioning tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,3 +146,45 @@ class TestCsvRoundtrip:
         dump_clients_csv(shards, path)
         header = path.read_text().splitlines()[0]
         assert header == "client_id,label,f0,f1,f2"
+
+
+class TestCsvErrors:
+    HEADER = "client_id,label,f0,f1\n"
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "clients.csv"
+        path.write_text(text)
+        return path
+
+    def test_empty_file(self, tmp_path):
+        path = self.load(tmp_path, "")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 1: missing header"):
+            load_clients_csv(path)
+
+    def test_data_without_header(self, tmp_path):
+        path = self.load(tmp_path, "0,1,0.5,0.25\n")
+        with pytest.raises(ValueError, match="line 1: missing header"):
+            load_clients_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1,0.5", "0,1,0.5,0.25,0.125"])
+    def test_field_count(self, tmp_path, row):
+        path = self.load(tmp_path, self.HEADER + "0,1,0.5,0.25\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 3: \d fields, header has 4"):
+            load_clients_csv(path)
+
+    @pytest.mark.parametrize("row", ["a,1,0.5,0.25", "0,x,0.5,0.25", "0,1.5,0.5,0.25"])
+    def test_non_integer_id_or_label(self, tmp_path, row):
+        path = self.load(tmp_path, self.HEADER + row + "\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: client_id and label"):
+            load_clients_csv(path)
+
+    def test_non_numeric_feature(self, tmp_path):
+        path = self.load(tmp_path, self.HEADER + "0,1,0.5,abc\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: non-numeric feature"):
+            load_clients_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, tmp_path, value):
+        path = self.load(tmp_path, self.HEADER + f"0,1,{value},0.25\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: non-finite feature"):
+            load_clients_csv(path)

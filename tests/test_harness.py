@@ -2,10 +2,15 @@
 the CLI, and the directional round-loop properties."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedalign
 from helpers import apply_delta
 from fedalign import client as C
 from fedalign import model as M
@@ -32,6 +37,22 @@ def tiny_config(**kw):
     merged = dict(TINY)
     merged.update(kw)
     return ExperimentConfig(**merged)
+
+
+def run_cli(tmp_path, cfg: dict, out: str = "out", **env) -> subprocess.CompletedProcess:
+    """`fedalign run` on `cfg` in a fresh interpreter, importing this checkout."""
+    cfg_file = tmp_path / f"{out}.json"
+    cfg_file.write_text(json.dumps(cfg))
+    src = str(Path(fedalign.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "fedalign.cli", "run", "--config", str(cfg_file),
+         "--out", str(tmp_path / out)],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestConfigValidation:
@@ -254,6 +275,31 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "diverged"
         assert "round 1, client 0" in err["details"]
+
+    # lr=1e300 overflows in a matmul, lr=50 in a reduction; numpy would warn
+    # about either on stderr ahead of the JSON.
+    @pytest.mark.parametrize("cfg", [dict(TINY, lr=1e300), {"lr": 50, "rounds": 3}])
+    def test_divergence_stderr_is_one_json_line(self, tmp_path, cfg):
+        proc = run_cli(tmp_path, cfg)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "diverged"
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # Wide enough (2000-row evaluation batches) for OpenBLAS to split
+        # its matrix products across threads.
+        cfg = dict(TINY, input_dim=16, hidden_dim=32, num_experts=4, num_classes=8,
+                   samples_per_class=100, test_samples_per_class=250, rounds=2)
+        outputs = []
+        for n in sorted({1, min(os.cpu_count() or 1, 4)}):
+            proc = run_cli(tmp_path, cfg, out=f"threads{n}", OPENBLAS_NUM_THREADS=str(n))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([
+                (tmp_path / f"threads{n}" / name).read_bytes()
+                for name in ("metrics.jsonl", "summary.csv", "aggregation.jsonl", "final.ckpt")
+            ])
+        assert all(files == outputs[0] for files in outputs)
 
 
 class TestDirectionalProperties:

@@ -1,9 +1,12 @@
 """Model tests: top-k selection, forward degenerate cases, exact gradients
-against finite differences, dense-mixture equivalence at k=S, and the
-byte-exact checkpoint format."""
+against finite differences, dense-mixture equivalence at k=S, the batched
+masked KL against the per-sample oracle, and the byte-exact checkpoint
+format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fedalign.model import (
@@ -209,6 +212,59 @@ class TestMaskedKl:
             np.array([0.9, 0.1]), np.array([0.5, 0.5]), np.ones(2), 2
         )
         assert abs(val - oracles.MASKED_KL_09_05) < 1e-9
+
+    def test_shapes(self):
+        rng = np.random.default_rng(0)
+        fp = softmax(rng.normal(size=(3, 5)))
+        p_g, alpha = softmax(rng.normal(size=5)), rng.uniform(size=5)
+        val, dfp = masked_kl(fp[0], p_g, alpha, 2, want_grad=True)
+        assert isinstance(val, float) and dfp.shape == (5,)
+        assert isinstance(masked_kl(fp[0], p_g, alpha, 2), float)
+        assert masked_kl(fp, p_g, alpha, 2).shape == (3,)
+        one, done = masked_kl(fp[:1], p_g, alpha, 2, want_grad=True)
+        assert one.shape == (1,) and one[0] == val
+        assert np.array_equal(done[0], dfp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.integers(1, 20),
+        k_frac=st.floats(0.0, 1.0),
+        b=st.integers(1, 8),
+        logit_scale=st.sampled_from([0.0, 0.5, 3.0, 400.0]),
+        pg_zeros=st.booleans(),
+        alpha_kind=st.sampled_from(["zero", "uniform", "some-zero"]),
+    )
+    def test_batch_matches_row_oracle(
+        self, seed, s, k_frac, b, logit_scale, pg_zeros, alpha_kind
+    ):
+        # Integer logits tie often; the large scale underflows entries of fp
+        # to exactly 0.
+        rng = np.random.default_rng(seed)
+        k = 1 + min(int(k_frac * s), s - 1)
+        fp = softmax(logit_scale * rng.integers(-3, 4, size=(b, s)))
+        p_g = rng.dirichlet(np.ones(s))
+        if pg_zeros:
+            p_g[rng.uniform(size=s) < 0.5] = 0.0
+            p_g[rng.integers(s)] += 1.0
+            p_g /= p_g.sum()
+        alpha = {
+            "zero": np.zeros(s),
+            "uniform": rng.uniform(size=s),
+            "some-zero": rng.uniform(size=s) * (rng.uniform(size=s) < 0.5),
+        }[alpha_kind]
+        vals, dfp = masked_kl(fp, p_g, alpha, k, want_grad=True)
+        assert vals.shape == (b,) and dfp.shape == (b, s)
+        for i in range(b):
+            want_val, want_dfp = oracles.masked_kl_row(fp[i], p_g, alpha, k, want_grad=True)
+            if 2 * k < 8:
+                assert vals[i] == want_val
+                assert np.array_equal(dfp[i], want_dfp)
+            else:
+                # The padded width reaches numpy's pairwise-sum threshold.
+                assert abs(vals[i] - want_val) <= 1e-13
+                assert np.max(np.abs(dfp[i] - want_dfp)) <= 1e-13
+            assert masked_kl(fp[i], p_g, alpha, k) == vals[i]
 
 
 class TestCheckpoint:
