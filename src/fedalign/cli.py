@@ -29,11 +29,13 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError([f"config must be a JSON object, got {type(raw).__name__}"])
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError([f"unknown config field {k!r}" for k in unknown])
-    if "ablations" in raw:
+    if isinstance(raw.get("ablations"), list):
         raw["ablations"] = tuple(raw["ablations"])
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -55,7 +57,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError, bad JSON or encoding
         errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
         return _fail("invalid-config", errors, 2)
     try:

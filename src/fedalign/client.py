@@ -78,17 +78,21 @@ def compute_margin(trace: M.ForwardTrace) -> np.ndarray:
 
 def compute_mu(trace: M.ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
     """Mean hidden state per expert over samples whose argmax gate score is
-    that expert; empty assignment sets a zero row plus a flag."""
+    that expert; empty assignment sets a zero row plus a flag.
+
+    One pass adds the rows onto zeros in sample order, which is how numpy
+    reduces `hidden[rows].mean(axis=0)` whenever hidden_dim >= 2, so the
+    means keep those bits; a single column would be summed pairwise."""
     s = trace.scores.shape[1]
     h = trace.hidden
+    width = h.shape[1]
     assign = np.argmax(trace.scores, axis=1)  # ties -> lowest index
-    mu = np.zeros((s, h.shape[1]))
-    empty = np.ones(s, dtype=bool)
-    for e in range(s):
-        rows = np.nonzero(assign == e)[0]
-        if rows.size:
-            mu[e] = h[rows].mean(axis=0)
-            empty[e] = False
+    count = np.bincount(assign, minlength=s)
+    mu = np.zeros((s, width))
+    # Flat 1-D indices take numpy's fast add.at path.
+    np.add.at(mu.reshape(-1), (assign[:, None] * width + np.arange(width)).ravel(), h.ravel())
+    empty = count == 0
+    mu[~empty] /= count[~empty, None]
     return mu, empty
 
 

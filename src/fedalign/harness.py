@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
@@ -85,25 +87,28 @@ class ExperimentConfig:
         errors = []
         if self.method not in METHODS:
             errors.append(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("rounds", "local_epochs", "num_clients", "samples_per_class",
-                     "test_samples_per_class", "batch_size"):
-            if getattr(self, name) < 1:
-                errors.append(f"{name} must be >= 1")
-        for name in ("lr", "noise_std", "dirichlet_alpha", "mean_scale"):
-            if getattr(self, name) <= 0:
-                errors.append(f"{name} must be > 0")
-        for name in ("lam", "eta", "beta", "prox_mu"):
-            if getattr(self, name) < 0:
-                errors.append(f"{name} must be >= 0")
-        for flag in self.ablations:
-            if flag not in ABLATION_FLAGS:
-                errors.append(f"unknown ablation flag {flag!r}")
-        if "fixed_threshold" in self.ablations and self.fixed_tau is None:
-            errors.append("fixed_threshold ablation requires fixed_tau")
-        try:
-            self.model_config()
-        except ValueError as exc:
-            errors.append(str(exc))
+        for name, (kind, low, strict) in NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_type(value, kind):
+                what = "an integer" if kind is int else "a finite number"
+                errors.append(f"{name} must be {what}, got {value!r}")
+            elif low is not None and (value <= low if strict else value < low):
+                errors.append(f"{name} must be {'>' if strict else '>='} {low}")
+        if self.fixed_tau is not None and not _is_type(self.fixed_tau, float):
+            errors.append(f"fixed_tau must be a finite number or null, got {self.fixed_tau!r}")
+        if not isinstance(self.ablations, tuple):
+            errors.append(f"ablations must be a list of flag names, got {self.ablations!r}")
+        else:
+            for flag in self.ablations:
+                if flag not in ABLATION_FLAGS:
+                    errors.append(f"unknown ablation flag {flag!r}")
+            if self.ablated("fixed_threshold") and self.fixed_tau is None:
+                errors.append("fixed_threshold ablation requires fixed_tau")
+        if all(_is_type(getattr(self, name), int) for name in MODEL_FIELDS):
+            try:
+                self.model_config()
+            except ValueError as exc:
+                errors.append(str(exc))
         return errors
 
     def model_config(self) -> M.MoEConfig:
@@ -118,6 +123,44 @@ class ExperimentConfig:
 
     def ablated(self, flag: str) -> bool:
         return flag in self.ablations
+
+
+MODEL_FIELDS = (
+    "input_dim", "hidden_dim", "num_experts", "top_k", "num_classes", "expert_hidden"
+)
+# Field -> (type, lower bound or None, bound is strict). The bound is only
+# checked once the type is right; `float` means a finite real number.
+NUMERIC_FIELDS = {
+    **{name: (int, None, False) for name in MODEL_FIELDS},  # MoEConfig checks these
+    "samples_per_class": (int, 1, False),
+    "test_samples_per_class": (int, 1, False),
+    "num_clients": (int, 1, False),
+    "rounds": (int, 1, False),
+    "local_epochs": (int, 1, False),
+    "batch_size": (int, 1, False),
+    "seed": (int, None, False),
+    "noise_std": (float, 0, True),
+    "mean_scale": (float, 0, True),
+    "lr": (float, 0, True),
+    "dirichlet_alpha": (float, 0, True),
+    "lam": (float, 0, False),
+    "eta": (float, 0, False),
+    "beta": (float, 0, False),
+    "prox_mu": (float, 0, False),
+}
+
+
+def _is_type(value, kind) -> bool:
+    """`int`: an integer that is not a bool. `float`: a finite real number
+    (integers included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass

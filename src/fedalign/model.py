@@ -123,6 +123,7 @@ class ForwardTrace:
     full_probs: np.ndarray  # (B, S) softmax over ALL experts
     topk_idx: np.ndarray  # (B, k) ascending expert indices
     topk_probs: np.ndarray  # (B, S) renormalized over the top-k, zero elsewhere
+    residual: np.ndarray  # (B, hidden_dim) MoE output + hidden, the head's input
     logits: np.ndarray  # (B, num_classes)
     # per-expert caches: expert index -> (row indices, tanh activations, outputs)
     expert_cache: dict = field(default_factory=dict)
@@ -204,6 +205,7 @@ def forward(
         full_probs=fp,
         topk_idx=topk_idx,
         topk_probs=tp,
+        residual=r,
         logits=logits,
         expert_cache=cache,
     )
@@ -291,8 +293,7 @@ def backward(
     dlogits = probs.copy()
     dlogits[np.arange(b), trace.labels] -= 1.0
     dlogits /= b
-    r = trace.hidden + _moe_output(trace)
-    grads.head = r.T @ dlogits
+    grads.head = trace.residual.T @ dlogits
     dr = dlogits @ params.head.T
     dy = dr
     dh = dr.copy()
@@ -331,13 +332,6 @@ def backward(
     dh += dg @ params.gate.T
     grads.embed = trace.inputs.T @ dh
     return grads
-
-
-def _moe_output(trace: ForwardTrace) -> np.ndarray:
-    y = np.zeros_like(trace.hidden)
-    for e, (sel, _z, o) in trace.expert_cache.items():
-        y[sel] += trace.topk_probs[sel, e][:, None] * o
-    return y
 
 
 def save_checkpoint(path, config: MoEConfig, params: ModelParams):

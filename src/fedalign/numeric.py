@@ -7,8 +7,6 @@ floored at EPS; vectors with norm below NORM_FLOOR are treated as zero
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 # Single floor for logs and division denominators, used everywhere.
@@ -48,17 +46,43 @@ def kl_term(p, q):
     return out
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0 if either vector has norm below NORM_FLOOR."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot over the last axis, broadcast over the leading axes.
+
+    numpy's matmul hands each (1, P) @ (P, 1) core to the same BLAS dot
+    routine as the one-vector `a @ b` and `np.linalg.norm`, so every entry
+    is bit-identical to the scalar computation. A Gram product (gemm) would
+    sum in a different order."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: sqrt of each row's self-dot, the
+    same bits as `np.linalg.norm` of that row."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.sqrt(_dot(x, x))
+
+
+def cosine_sim(a: np.ndarray, b: np.ndarray):
+    """Cosine similarity over the last axis of `a` and `b` (..., P), with
+    the leading axes broadcast; 0 where either norm is below NORM_FLOOR.
+
+    Each row's norm is computed once, so `cosine_sim(x[:, None], x[None])`
+    gives all N^2 pairs of the rows of x. Two 1-D inputs give a float.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    na = norm(a)
+    nb = norm(b)
+    dot = _dot(a, b)
+    live = ~((na < NORM_FLOOR) | (nb < NORM_FLOOR))
+    cos = np.divide(dot, na * nb, out=np.zeros(dot.shape), where=live)
+    out = np.clip(cos, -1.0, 1.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def sigmoid(x):
@@ -72,36 +96,3 @@ def sigmoid(x):
     if np.ndim(x) == 0:
         return float(out[0])
     return out
-
-
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    params: np.ndarray,
-    grad: np.ndarray,
-    eps: float = 1e-5,
-) -> float:
-    """Max abs discrepancy between `grad` and central finite differences of f.
-
-    Perturbs every entry of `params` by +/- eps. `f` must treat its argument
-    as read-only apart from the perturbation done here.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape:
-        raise ValueError("params/grad shape mismatch")
-    work = params.copy()
-    flat = work.ravel()
-    gflat = grad.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(work)
-        flat[i] = orig - eps
-        fm = f(work)
-        flat[i] = orig
-        fd = (fp - fm) / (2.0 * eps)
-        worst = max(worst, abs(gflat[i] - fd))
-    return worst

@@ -18,23 +18,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as M
-from .numeric import NORM_FLOOR, cosine_sim, sigmoid
+from .numeric import NORM_FLOOR, cosine_sim, norm, sigmoid
 
 if TYPE_CHECKING:  # client imports baselines, which imports this module
     from .client import RoutingStats
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class GlobalReference:
-    p_g: np.ndarray  # (S,)
-    tau: np.ndarray  # (S,)
-    round_index: int
-
-    def __post_init__(self):
-        if np.any(self.p_g < 0) or abs(self.p_g.sum() - 1.0) > 1e-9:
-            raise ValueError("p_g must be a distribution")
 
 
 @dataclass
@@ -102,27 +91,27 @@ def pairwise_semantics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise semantic similarity S and direction consensus D per expert.
 
-    D compares the clients' `model.expert_rows` of the update. Any pair
-    where either mu is empty-flagged or either delta is zero is excluded
-    from consensus: both entries are set to 0.
+    S compares the clients' mu rows, D their `model.expert_rows` of the
+    update; each expert takes one stacked `cosine_sim` call per quantity
+    over all N^2 client pairs. Any pair where either mu is empty-flagged or
+    either delta is zero is excluded from consensus: both entries are 0.
     """
-    n = len(stats)
-    s = stats[0].p_bar.size
-    sim = np.zeros((s, n, n))
-    dcons = np.zeros((s, n, n))
+    mu = np.stack([st.mu for st in stats], axis=1)  # (S, N, H)
+    mu_empty = np.stack([st.mu_empty for st in stats], axis=1)  # (S, N)
+    s, n = mu_empty.shape
+    sim = np.empty((s, n, n))
+    dcons = np.empty((s, n, n))
+    # One (N, P) buffer refilled per expert; the (S, N, P) stack of update
+    # rows would be the largest array of a wide round.
+    rows = np.empty((n, M.expert_rows(deltas[0], slice(0, 1)).shape[1]))
     for e in range(s):
-        rows = np.concatenate([M.expert_rows(d, slice(e, e + 1)) for d in deltas])
-        valid = [
-            not stats[i].mu_empty[e] and np.linalg.norm(rows[i]) >= NORM_FLOOR
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(i, n):
-                if valid[i] and valid[j]:
-                    sv = cosine_sim(stats[i].mu[e], stats[j].mu[e])
-                    dv = cosine_sim(rows[i], rows[j])
-                    sim[e, i, j] = sim[e, j, i] = sv
-                    dcons[e, i, j] = dcons[e, j, i] = dv
+        for i, d in enumerate(deltas):
+            rows[i] = M.expert_rows(d, slice(e, e + 1))[0]
+        valid = ~mu_empty[e] & (norm(rows) >= NORM_FLOOR)
+        pair = valid[:, None] & valid[None, :]
+        x = mu[e]
+        sim[e] = np.where(pair, cosine_sim(x[:, None, :], x[None, :, :]), 0.0)
+        dcons[e] = np.where(pair, cosine_sim(rows[:, None, :], rows[None, :, :]), 0.0)
     return sim, dcons
 
 

@@ -1,9 +1,16 @@
-"""Builders for client updates in tests: a `ModelParams` of deltas made
-from per-expert rows, and the model a delta leads to."""
+"""Test tools: builders for client updates (a `ModelParams` of deltas made
+from per-expert rows, and the model a delta leads to), row scales around
+NORM_FLOOR for property tests, and the central finite-difference gradient
+checker."""
 
 import numpy as np
 
 from fedalign.model import ModelParams
+from fedalign.numeric import NORM_FLOOR
+
+# Row scales that put norms at zero, on both sides of NORM_FLOOR, and well
+# above it.
+NORM_SCALES = (0.0, 0.3 * NORM_FLOOR, NORM_FLOOR, 3 * NORM_FLOOR, 1.0, 1e5)
 
 
 def expert_delta(rows, like=None):
@@ -38,3 +45,31 @@ def expert_delta(rows, like=None):
 def apply_delta(params, delta):
     """start + delta for every block."""
     return ModelParams(*(getattr(params, b) + getattr(delta, b) for b in ModelParams.BLOCKS))
+
+
+def grad_check(f, params, grad, eps=1e-5):
+    """Max abs discrepancy between `grad` and central finite differences of f.
+
+    Perturbs every entry of `params` by +/- eps. `f` must treat its argument
+    as read-only apart from the perturbation done here.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if params.shape != grad.shape:
+        raise ValueError("params/grad shape mismatch")
+    work = params.copy()
+    flat = work.ravel()
+    gflat = grad.ravel()
+    worst = 0.0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f(work)
+        flat[i] = orig - eps
+        fm = f(work)
+        flat[i] = orig
+        fd = (fp - fm) / (2.0 * eps)
+        worst = max(worst, abs(gflat[i] - fd))
+    return worst

@@ -154,3 +154,68 @@ def masked_kl_row(fp_row, p_g, alpha, k, want_grad=False):
     dfp = np.zeros_like(fp_row)
     dfp[mask] = (dpt - (dpt * pt).sum()) / max(zp, eps)
     return val, dfp
+
+
+NORM_FLOOR = 1e-12
+
+
+def cosine_sim_scalar(a, b):
+    """Reference for the stacked `numeric.cosine_sim`: one pair of vectors,
+    0 if either norm is below 1e-12, else the clipped cosine."""
+    import numpy as np
+
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < NORM_FLOOR or nb < NORM_FLOOR:
+        return 0.0
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
+
+def pairwise_semantics_loop(stats, deltas):
+    """Reference for `server.pairwise_semantics`: the double loop over client
+    pairs i <= j, one `cosine_sim_scalar` call per pair and quantity, both
+    entries set to 0 where either client's mu is empty or update row has
+    norm below 1e-12."""
+    import numpy as np
+
+    n = len(stats)
+    s = stats[0].p_bar.size
+    sim = np.zeros((s, n, n))
+    dcons = np.zeros((s, n, n))
+    flats = [flat_expert_rows(d) for d in deltas]
+    for e in range(s):
+        rows = [f[e] for f in flats]
+        valid = [
+            not stats[i].mu_empty[e] and np.linalg.norm(rows[i]) >= NORM_FLOOR
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(i, n):
+                if valid[i] and valid[j]:
+                    sv = cosine_sim_scalar(stats[i].mu[e], stats[j].mu[e])
+                    dv = cosine_sim_scalar(rows[i], rows[j])
+                    sim[e, i, j] = sim[e, j, i] = sv
+                    dcons[e, i, j] = dcons[e, j, i] = dv
+    return sim, dcons
+
+
+def compute_mu_loop(scores, hidden):
+    """Reference for `client.compute_mu`: one expert at a time, the mean of
+    the hidden rows whose argmax score (ties to the lower index) is that
+    expert; an empty expert gets a zero row and the flag."""
+    import numpy as np
+
+    s = scores.shape[1]
+    assign = np.argmax(scores, axis=1)
+    mu = np.zeros((s, hidden.shape[1]))
+    empty = np.ones(s, dtype=bool)
+    for e in range(s):
+        rows = np.nonzero(assign == e)[0]
+        if rows.size:
+            mu[e] = hidden[rows].mean(axis=0)
+            empty[e] = False
+    return mu, empty

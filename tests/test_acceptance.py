@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import expert_delta
+from helpers import expert_delta, grad_check
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
 from fedalign.harness import ExperimentConfig, run_experiment
-from fedalign.numeric import cosine_sim, grad_check, kl_term, sigmoid, softmax
+from fedalign.numeric import cosine_sim, kl_term, sigmoid, softmax
 
 SEEDS = range(5)
 

@@ -8,6 +8,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from helpers import apply_delta
@@ -107,6 +110,46 @@ class TestMu:
         trace = SimpleNamespace(scores=np.array([[0.0, 1.0], [0.0, 1.0]]), hidden=h)
         mu, _ = compute_mu(trace)
         np.testing.assert_allclose(mu[1], [0.5, 0.5])
+
+
+class TestMuOracle:
+    """The one-pass mean against the per-expert loop, on tied scores, empty
+    experts and -0.0 hidden entries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), h=st.integers(2, 6))
+    def test_matches_loop_oracle(self, data, h):
+        scores, hidden = data.draw(assignment_batch(h))
+        mu, empty = compute_mu(SimpleNamespace(scores=scores, hidden=hidden))
+        want_mu, want_empty = oracles.compute_mu_loop(scores, hidden)
+        assert np.array_equal(mu, want_mu)
+        # Byte equality also tells -0.0 from 0.0.
+        assert mu.tobytes() == want_mu.tobytes()
+        assert np.array_equal(empty, want_empty)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_single_column_within_rounding(self, data):
+        # numpy's mean sums a lone column pairwise, the one pass in sample
+        # order: the two agree up to rounding only.
+        scores, hidden = data.draw(assignment_batch(1))
+        mu, empty = compute_mu(SimpleNamespace(scores=scores, hidden=hidden))
+        want_mu, want_empty = oracles.compute_mu_loop(scores, hidden)
+        np.testing.assert_allclose(mu, want_mu, rtol=0, atol=1e-13)
+        assert np.array_equal(empty, want_empty)
+
+
+@st.composite
+def assignment_batch(draw, h):
+    """Gate scores from {0, 1, 2} (so ties are common and some experts get no
+    sample) and hidden rows with -0.0 entries."""
+    b = draw(st.integers(1, 40))
+    s = draw(st.integers(1, 6))
+    scores = draw(hnp.arrays(np.float64, (b, s), elements=st.sampled_from([0.0, 1.0, 2.0])))
+    hidden = draw(hnp.arrays(
+        np.float64, (b, h), elements=st.one_of(st.just(-0.0), st.floats(-10, 10))
+    ))
+    return scores, hidden
 
 
 class TestAlpha:

@@ -1,14 +1,21 @@
 """Harness tests: config validation, seeded determinism, metrics emission,
 the CLI, and the directional round-loop properties."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedalign
 from helpers import apply_delta
@@ -81,6 +88,21 @@ class TestConfigValidation:
     def test_run_rejects_invalid(self):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(method="sgd"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", 1.5), ("rounds", True), ("num_experts", "4"), ("seed", None),
+        ("lr", "0.1"), ("lr", False), ("noise_std", math.nan), ("lam", math.inf),
+        ("beta", 10**400), ("fixed_tau", math.nan), ("fixed_tau", "0.5"),
+    ])
+    def test_rejects_wrong_type_or_non_finite(self, field, value):
+        errors = ExperimentConfig(**{field: value}).validate()
+        assert len(errors) == 1 and errors[0].startswith(field), errors
+
+    def test_accepts_integers_for_floats(self):
+        assert ExperimentConfig(lr=1, fixed_tau=0, ablations=("fixed_threshold",)).validate() == []
+
+    def test_ablations_must_be_a_tuple(self):
+        assert any("ablations" in e for e in ExperimentConfig(ablations="uniform_gamma").validate())
 
 
 class TestChildRng:
@@ -300,6 +322,59 @@ class TestCli:
                 for name in ("metrics.jsonl", "summary.csv", "aggregation.jsonl", "final.ckpt")
             ])
         assert all(files == outputs[0] for files in outputs)
+
+
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+# Wrong types, and non-finite or out-of-range numbers. No value here is a
+# large integer: that is a valid size or round count, and a run would take
+# as long as it asks for.
+BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, -0.5, 0.0, 1.5, 2.0]),
+)
+
+
+class TestCliConfigFuzz:
+    """`fedalign run` on bad field values never raises: it exits 0, 2 or 3
+    with at most one JSON line on stderr."""
+
+    @pytest.mark.parametrize("text, fragment", [
+        ('{"lr": "0.1"}', "lr"),
+        ('{"rounds": 1.5}', "rounds"),
+        ('{"noise_std": NaN}', "noise_std"),
+        ('{"lam": 1e400}', "lam"),
+        ('[1]', "JSON object"),
+        ('{"ablations": ["fixed_threshold"], "fixed_tau": "nan"}', "fixed_tau"),
+        ('{"ablations": 5}', "ablations"),
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, text, fragment):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        assert any(fragment in d for d in err["details"]), err
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), BAD_VALUES, min_size=1, max_size=3))
+    def test_bad_values_never_raise(self, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_file = Path(tmp) / "cfg.json"
+            cfg_file.write_text(json.dumps(dict(TINY, **bad)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["run", "--config", str(cfg_file), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3)
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1, err.getvalue()
+        if lines:
+            assert json.loads(lines[0])["error"] in ("invalid-config", "diverged")
 
 
 class TestDirectionalProperties:

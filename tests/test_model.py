@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import grad_check
 from fedalign.model import (
     MoEConfig,
     ModelParams,
@@ -21,7 +22,7 @@ from fedalign.model import (
     top_k_select,
     zeros_like_params,
 )
-from fedalign.numeric import grad_check, softmax
+from fedalign.numeric import softmax
 
 
 def small_config(**kw):

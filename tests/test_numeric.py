@@ -1,15 +1,17 @@
-"""Numeric kernel tests: worked examples plus hypothesis properties."""
+"""Numeric kernel tests: worked examples plus hypothesis properties, and the
+stacked cosine kernel against the one-pair oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from fedalign.numeric import EPS, cosine_sim, grad_check, kl_term, sigmoid, softmax
+from helpers import NORM_SCALES, grad_check
+from fedalign.numeric import EPS, NORM_FLOOR, cosine_sim, kl_term, norm, sigmoid, softmax
 
 STAT_TOL = 1e-9
 
@@ -94,7 +96,66 @@ class TestCosine:
         st.floats(min_value=0.1, max_value=100.0),
     )
     def test_scale_invariance(self, a, b, k):
+        # Scaling can carry a norm across NORM_FLOOR, where the cosine drops
+        # to 0 by contract (test_zero_below_floor); the property holds where
+        # every norm stays well clear of the floor.
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        assume(min(na, k * na, nb) >= 1e3 * NORM_FLOOR)
         assert abs(cosine_sim(k * a, b) - cosine_sim(a, b)) < 1e-12
+
+    @pytest.mark.parametrize("scale, expected", [(0.5, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_zero_below_floor(self, scale, expected):
+        # A norm of 0.5 * NORM_FLOOR counts as zero; at or above the floor the
+        # vector is normalized. Either argument can be the short one.
+        tiny = np.array([scale * NORM_FLOOR, 0.0, 0.0, 0.0])
+        unit = np.array([1.0, 0.0, 0.0, 0.0])
+        assert cosine_sim(tiny, unit) == expected
+        assert cosine_sim(unit, tiny) == expected
+
+    def test_one_d_gives_float(self):
+        assert type(cosine_sim(np.array([1.0, 0]), np.array([1.0, 1.0]))) is float
+
+    def test_last_axis_mismatch(self):
+        with pytest.raises(ValueError):
+            cosine_sim(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_norm_matches_linalg(self):
+        x = np.random.default_rng(0).normal(size=(5, 37))
+        assert np.array_equal(norm(x), [np.linalg.norm(row) for row in x])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stacked_matches_scalar_oracle(self, data):
+        x = data.draw(stacked_rows(), label="x")
+        p = x.shape[1]
+        y = data.draw(stacked_rows(p), label="y")
+        # Every pair of rows, broadcast (N, 1, P) against (1, M, P).
+        got = cosine_sim(x[:, None, :], y[None, :, :])
+        want = [[oracles.cosine_sim_scalar(a, b) for b in y] for a in x]
+        assert got.shape == (len(x), len(y))
+        assert np.array_equal(got, want)
+        # Row by row on equal leading shapes, and all pairs of x with itself.
+        m = min(len(x), len(y))
+        rowwise = cosine_sim(x[:m], y[:m])
+        assert np.array_equal(rowwise, [oracles.cosine_sim_scalar(a, b) for a, b in zip(x, y)])
+        square = cosine_sim(x[:, None, :], x[None, :, :])
+        assert np.array_equal(square, square.T)
+        assert np.array_equal(square, [[oracles.cosine_sim_scalar(a, b) for b in x] for a in x])
+
+
+@st.composite
+def stacked_rows(draw, p=None):
+    """(N, P) rows drawn with per-row scales from NORM_SCALES and some rows
+    duplicated, so exact ties and zero rows occur."""
+    if p is None:
+        p = draw(st.integers(1, 70))
+    n = draw(st.integers(1, 6))
+    x = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-10, 10)))
+    scales = draw(hnp.arrays(np.float64, n, elements=st.sampled_from(NORM_SCALES)))
+    x = x * scales[:, None]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+        x[i] = x[j]
+    return x
 
 
 class TestSigmoid:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import expert_delta
+from helpers import NORM_SCALES, expert_delta
 from fedalign.client import RoutingStats
 from fedalign.model import MoEConfig, expert_rows, init_params
 from fedalign.server import (
@@ -154,6 +154,49 @@ class TestPairwiseSemantics:
     def test_zero_delta_excludes_pair(self):
         sim, dcons = two_client_semantics([1.0, 0], [1.0, 0], [0.0, 0.0], [1.0, 0])
         assert np.all(sim[0, 0, :] == 0.0) and np.all(dcons[0, 0, :] == 0.0)
+
+
+class TestPairwiseSemanticsOracle:
+    """The stacked kernel against the old double loop over client pairs,
+    compared exactly, on zero rows, empty mu, norms on both sides of
+    NORM_FLOOR, duplicate clients and N=1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        s=st.integers(1, 4),
+        h=st.integers(1, 6),
+        eh=st.integers(1, 6),
+        empty_rate=st.floats(0.0, 1.0),
+        duplicate=st.booleans(),
+    )
+    def test_matches_loop_oracle(self, seed, n, s, h, eh, empty_rate, duplicate):
+        rng = np.random.default_rng(seed)
+        like = init_params(MoEConfig(2, h, s, 1, 3, eh), rng)
+        p = expert_rows(like).shape[1]
+
+        def rows_at_scales(shape):
+            scales = rng.choice(NORM_SCALES, size=shape[:-1] + (1,))
+            return rng.normal(size=shape) * scales
+
+        mus = rows_at_scales((n, s, h))
+        upd = rows_at_scales((n, s, p))
+        if duplicate:
+            mus[-1], upd[-1] = mus[0], upd[0]
+        empty = rng.uniform(size=(n, s)) < empty_rate
+        stats = [
+            make_stats(np.full(s, 1.0 / s), np.zeros(s), mu=mus[i], mu_empty=empty[i])
+            for i in range(n)
+        ]
+        deltas = [expert_delta(upd[i], like) for i in range(n)]
+
+        sim, dcons = pairwise_semantics(stats, deltas)
+        want_sim, want_dcons = oracles.pairwise_semantics_loop(stats, deltas)
+        assert np.array_equal(sim, want_sim)
+        assert np.array_equal(dcons, want_dcons)
+        assert np.array_equal(sim, sim.transpose(0, 2, 1))
+        assert np.array_equal(dcons, dcons.transpose(0, 2, 1))
 
 
 class TestAdaptiveThreshold:
