@@ -143,8 +143,9 @@ def local_round(
             trace, loss = M.forward(config, params, shard.features[idx], shard.labels[idx])
             if loss is None or not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss, aborting round")
-            for e in trace.expert_cache:
-                activated[e] = True
+            # Membership is the top-k index set, not tp > 0: an expert whose
+            # renormalized probability underflows still counts.
+            activated[trace.topk_idx] = True
             grads = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx)
             if prox_mu > 0.0 and prox_ref is not None:
                 prox = prox_term(params, prox_ref, prox_mu)[1]

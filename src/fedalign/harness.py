@@ -94,6 +94,8 @@ class ExperimentConfig:
                 errors.append(f"{name} must be {what}, got {value!r}")
             elif low is not None and (value <= low if strict else value < low):
                 errors.append(f"{name} must be {'>' if strict else '>='} {low}")
+            elif kind is int and value >= INT_LIMIT:
+                errors.append(f"{name} must be < 2**32, got {value}")
         if self.fixed_tau is not None and not _is_type(self.fixed_tau, float):
             errors.append(f"fixed_tau must be a finite number or null, got {self.fixed_tau!r}")
         if not isinstance(self.ablations, tuple):
@@ -128,8 +130,12 @@ class ExperimentConfig:
 MODEL_FIELDS = (
     "input_dim", "hidden_dim", "num_experts", "top_k", "num_classes", "expert_hidden"
 )
-# Field -> (type, lower bound or None, bound is strict). The bound is only
-# checked once the type is right; `float` means a finite real number.
+# Field -> (type, lower bound or None, bound is strict). The bounds are only
+# checked once the type is right; `float` means a finite real number, and
+# every `int` field must also be below INT_LIMIT: `child_rng` keeps the seed
+# mod 2**32, the checkpoint header stores the model dims as uint32, and a
+# larger count would never finish.
+INT_LIMIT = 2**32
 NUMERIC_FIELDS = {
     **{name: (int, None, False) for name in MODEL_FIELDS},  # MoEConfig checks these
     "samples_per_class": (int, 1, False),
@@ -138,7 +144,7 @@ NUMERIC_FIELDS = {
     "rounds": (int, 1, False),
     "local_epochs": (int, 1, False),
     "batch_size": (int, 1, False),
-    "seed": (int, None, False),
+    "seed": (int, 0, False),
     "noise_std": (float, 0, True),
     "mean_scale": (float, 0, True),
     "lr": (float, 0, True),
@@ -359,10 +365,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             S.AggregationReport(
                 round_index=t,
                 omega=omega,
-                gamma=gamma,
+                gamma_row_sums=gamma.sum(axis=2),
                 mean_sim=mean_sim,
                 dispersion=disp,
-                pairwise_sim=sim,
                 tau=tau,
             )
         )

@@ -2,7 +2,9 @@
 linear gate and two-layer tanh experts, residual connection, linear head.
 
 Forward keeps everything needed for the hand-derived backward pass and for
-the routing statistics. Gradients flow only through activated experts; the
+the routing statistics. Dispatch is dense: every expert runs on every row
+and the outputs are mixed with the renormalized top-k weights, which are
+zero off the selected set, so gradients reach only selected experts. The
 backward pass covers both the cross-entropy objective and the masked,
 renormalized KL regularizer on the gating softmax.
 """
@@ -10,7 +12,7 @@ renormalized KL regularizer on the gating softmax.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +97,6 @@ def init_params(config: MoEConfig, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(*(np.zeros_like(getattr(params, b)) for b in ModelParams.BLOCKS))
-
-
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, ties broken by ascending index.
 
@@ -125,8 +123,8 @@ class ForwardTrace:
     topk_probs: np.ndarray  # (B, S) renormalized over the top-k, zero elsewhere
     residual: np.ndarray  # (B, hidden_dim) MoE output + hidden, the head's input
     logits: np.ndarray  # (B, num_classes)
-    # per-expert caches: expert index -> (row indices, tanh activations, outputs)
-    expert_cache: dict = field(default_factory=dict)
+    expert_act: np.ndarray  # (S, B, expert_hidden) tanh activations, every expert
+    expert_out: np.ndarray  # (S, B, hidden_dim) expert outputs, every expert
 
     @property
     def batch_size(self) -> int:
@@ -150,7 +148,6 @@ def forward(
         )
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite entries in input batch")
-    s = config.num_experts
     k = config.top_k
 
     h = x @ params.embed  # (B, H)
@@ -168,19 +165,14 @@ def forward(
     ez = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
     tp = ez / ez.sum(axis=1, keepdims=True)
 
-    y = np.zeros_like(h)
-    cache = {}
-    for e in range(s):
-        # Membership is defined by the top-k index set, not by tp > 0, so an
-        # expert whose renormalized probability underflows still activates.
-        sel = np.nonzero(np.any(topk_idx == e, axis=1))[0]
-        if sel.size == 0:
-            continue
-        a = h[sel] @ params.expert_w1[e] + params.expert_b1[e]
-        z = np.tanh(a)
-        o = z @ params.expert_w2[e] + params.expert_b2[e]
-        y[sel] += tp[sel, e][:, None] * o
-        cache[e] = (sel, z, o)
+    # Every expert on every row; tp is zero off the top-k, so only the
+    # selected experts reach the mixture.
+    z = h @ params.expert_w1  # (S, B, EH)
+    z += params.expert_b1[:, None, :]
+    np.tanh(z, out=z)
+    o = z @ params.expert_w2  # (S, B, H)
+    o += params.expert_b2[:, None, :]
+    y = np.einsum("bs,sbh->bh", tp, o)
 
     r = y + h  # residual connection around the MoE layer
     logits = r @ params.head
@@ -207,7 +199,8 @@ def forward(
         topk_probs=tp,
         residual=r,
         logits=logits,
-        expert_cache=cache,
+        expert_act=z,
+        expert_out=o,
     )
     return trace, loss
 
@@ -280,44 +273,32 @@ def backward(
     """Exact gradients of L_total = L_local + lam * L_reg for one batch.
 
     `reg_ctx` must expose `p_g` and `alpha` arrays of length S; it is only
-    consulted when lam > 0. Gradients of non-activated experts are zero.
+    consulted when lam > 0. Gradients of experts outside every row's top-k
+    are zero.
     Returns a ModelParams-shaped gradient container.
     """
     if trace.labels is None:
         raise ValueError("backward requires a trace with labels")
     b = trace.batch_size
-    grads = zeros_like_params(params)
 
     # Head and residual.
-    probs = softmax(trace.logits)
-    dlogits = probs.copy()
+    dlogits = softmax(trace.logits)
     dlogits[np.arange(b), trace.labels] -= 1.0
     dlogits /= b
-    grads.head = trace.residual.T @ dlogits
-    dr = dlogits @ params.head.T
-    dy = dr
-    dh = dr.copy()
+    dy = dlogits @ params.head.T
+    dh = dy.copy()
 
-    # Experts and the sparse mixture weights.
-    dtp = np.zeros_like(trace.topk_probs)
-    for e, (sel, z, o) in trace.expert_cache.items():
-        dtp[sel, e] = np.einsum("ij,ij->i", dy[sel], o)
-        do = trace.topk_probs[sel, e][:, None] * dy[sel]
-        grads.expert_w2[e] = z.T @ do
-        grads.expert_b2[e] = do.sum(axis=0)
-        dz = do @ params.expert_w2[e].T
-        da = dz * (1.0 - z * z)
-        grads.expert_w1[e] = trace.hidden[sel].T @ da
-        grads.expert_b1[e] = da.sum(axis=0)
-        dh[sel] += da @ params.expert_w1[e].T
+    # Experts and the mixture weights, batched over the expert axis.
+    tp, z = trace.topk_probs, trace.expert_act
+    dtp = np.einsum("bh,sbh->bs", dy, trace.expert_out)
+    do = tp.T[:, :, None] * dy  # (S, B, H), zero off the top-k
+    da = do @ params.expert_w2.transpose(0, 2, 1)
+    da *= 1.0 - z * z
+    dh += (da @ params.expert_w1.transpose(0, 2, 1)).sum(axis=0)
 
-    # Through the top-k restricted softmax (selection set held fixed).
-    rows = np.arange(b)[:, None]
-    t = trace.topk_probs[rows, trace.topk_idx]  # (B, k)
-    dt = dtp[rows, trace.topk_idx]
-    dg_k = t * (dt - (t * dt).sum(axis=1, keepdims=True))
-    dg = np.zeros_like(trace.scores)
-    np.add.at(dg, (rows, trace.topk_idx), dg_k)
+    # Through the top-k restricted softmax (selection set held fixed); tp is
+    # zero off the top-k, so dg is too.
+    dg = tp * (dtp - (tp * dtp).sum(axis=1, keepdims=True))
 
     # KL regularizer through the full softmax (batch mean).
     if lam > 0.0 and reg_ctx is not None:
@@ -328,10 +309,16 @@ def backward(
         fp = trace.full_probs
         dg += fp * (dfp - (fp * dfp).sum(axis=1, keepdims=True))
 
-    grads.gate = trace.hidden.T @ dg
     dh += dg @ params.gate.T
-    grads.embed = trace.inputs.T @ dh
-    return grads
+    return ModelParams(
+        embed=trace.inputs.T @ dh,
+        gate=trace.hidden.T @ dg,
+        expert_w1=trace.hidden.T @ da,
+        expert_b1=da.sum(axis=1),
+        expert_w2=z.transpose(0, 2, 1) @ do,
+        expert_b2=do.sum(axis=1),
+        head=trace.residual.T @ dlogits,
+    )
 
 
 def save_checkpoint(path, config: MoEConfig, params: ModelParams):

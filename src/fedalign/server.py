@@ -30,10 +30,9 @@ log = logging.getLogger(__name__)
 class AggregationReport:
     round_index: int
     omega: np.ndarray  # (N, S)
-    gamma: np.ndarray  # (S, N, N)
+    gamma_row_sums: np.ndarray  # (S, N) gamma summed over partner clients
     mean_sim: np.ndarray  # (S,) M(e)
     dispersion: np.ndarray  # (S,) Sigma(e)
-    pairwise_sim: np.ndarray  # (S, N, N)
     tau: np.ndarray  # (S,)
 
     def to_json_record(self) -> str:
@@ -43,7 +42,7 @@ class AggregationReport:
             "tau": self.tau.tolist(),
             "mean_sim": self.mean_sim.tolist(),
             "dispersion": self.dispersion.tolist(),
-            "gamma_row_sums": self.gamma.sum(axis=2).tolist(),
+            "gamma_row_sums": self.gamma_row_sums.tolist(),
         }
         return json.dumps(rec, sort_keys=True)
 

@@ -219,3 +219,92 @@ def compute_mu_loop(scores, hidden):
             mu[e] = hidden[rows].mean(axis=0)
             empty[e] = False
     return mu, empty
+
+
+def sparse_forward(params, x, k, labels=None):
+    """Reference for `model.forward`: the per-expert sparse dispatch it
+    replaced. Each expert runs only on the rows whose top-k (ties to the
+    lower index) holds it, and its output is added with the row's top-k
+    renormalized weight. Membership is the top-k set, not weight > 0, so an
+    expert whose weight underflows to 0 is still in the cache. Returns a
+    dict of the intermediates, `cache` (expert -> (rows, tanh activations,
+    outputs)) and `loss` (mean cross-entropy, or None without labels)."""
+    import numpy as np
+
+    h = x @ params.embed
+    g = h @ params.gate
+    b, s = g.shape
+    ez = np.exp(g - g.max(axis=1, keepdims=True))
+    fp = ez / ez.sum(axis=1, keepdims=True)
+    topk_idx = np.sort(np.argsort(-g, axis=1, kind="stable")[:, :k], axis=1)
+    masked = np.full_like(g, -np.inf)
+    rows = np.arange(b)[:, None]
+    masked[rows, topk_idx] = g[rows, topk_idx]
+    shifted = masked - masked.max(axis=1, keepdims=True)
+    ez = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
+    tp = ez / ez.sum(axis=1, keepdims=True)
+
+    y = np.zeros_like(h)
+    cache = {}
+    for e in range(s):
+        sel = np.nonzero(np.any(topk_idx == e, axis=1))[0]
+        if sel.size == 0:
+            continue
+        z = np.tanh(h[sel] @ params.expert_w1[e] + params.expert_b1[e])
+        o = z @ params.expert_w2[e] + params.expert_b2[e]
+        y[sel] += tp[sel, e][:, None] * o
+        cache[e] = (sel, z, o)
+    r = y + h
+    logits = r @ params.head
+    loss = None
+    if labels is not None:
+        m = logits.max(axis=1, keepdims=True)
+        logp = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+        loss = float(-logp[np.arange(b), labels].mean())
+    return dict(x=x, h=h, fp=fp, topk_idx=topk_idx, tp=tp, r=r, logits=logits,
+                cache=cache, loss=loss)
+
+
+def sparse_backward(fwd, params, labels, k, lam=0.0, p_g=None, alpha=None):
+    """Reference for `model.backward` on a `sparse_forward` result: one
+    expert at a time over its cached rows, the top-k softmax backward on the
+    gathered (B, k) weights scattered back with `np.add.at`, and the masked
+    KL gradient from `masked_kl_row` one sample at a time. Returns a dict of
+    the seven gradient blocks."""
+    import numpy as np
+
+    b = fwd["x"].shape[0]
+    e_x = np.exp(fwd["logits"] - fwd["logits"].max(axis=1, keepdims=True))
+    dlogits = e_x / e_x.sum(axis=1, keepdims=True)
+    dlogits[np.arange(b), labels] -= 1.0
+    dlogits /= b
+    grads = {name: np.zeros_like(getattr(params, name)) for name in
+             ("embed", "gate", *EXPERT_BLOCKS)}
+    grads["head"] = fwd["r"].T @ dlogits
+    dy = dlogits @ params.head.T
+    dh = dy.copy()
+    tp = fwd["tp"]
+    dtp = np.zeros_like(tp)
+    for e, (sel, z, o) in fwd["cache"].items():
+        dtp[sel, e] = np.einsum("ij,ij->i", dy[sel], o)
+        do = tp[sel, e][:, None] * dy[sel]
+        grads["expert_w2"][e] = z.T @ do
+        grads["expert_b2"][e] = do.sum(axis=0)
+        da = (do @ params.expert_w2[e].T) * (1.0 - z * z)
+        grads["expert_w1"][e] = fwd["h"][sel].T @ da
+        grads["expert_b1"][e] = da.sum(axis=0)
+        dh[sel] += da @ params.expert_w1[e].T
+
+    idx = (np.arange(b)[:, None], fwd["topk_idx"])
+    t, dt = tp[idx], dtp[idx]
+    dg = np.zeros_like(tp)
+    np.add.at(dg, idx, t * (dt - (t * dt).sum(axis=1, keepdims=True)))
+    if lam > 0.0:
+        fp = fwd["fp"]
+        dfp = np.stack([masked_kl_row(row, p_g, alpha, k, want_grad=True)[1] for row in fp])
+        dfp *= lam / b
+        dg += fp * (dfp - (fp * dfp).sum(axis=1, keepdims=True))
+    grads["gate"] = fwd["h"].T @ dg
+    dh += dg @ params.gate.T
+    grads["embed"] = fwd["x"].T @ dh
+    return grads

@@ -98,6 +98,18 @@ class TestConfigValidation:
         errors = ExperimentConfig(**{field: value}).validate()
         assert len(errors) == 1 and errors[0].startswith(field), errors
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2**32), ("rounds", 10**400), ("num_experts", 2**32),
+        ("batch_size", 2**40),
+    ])
+    def test_rejects_integers_out_of_range(self, field, value):
+        errors = ExperimentConfig(**{field: value}).validate()
+        assert len(errors) == 1 and errors[0].startswith(field), errors
+
+    def test_accepts_seed_range_ends(self):
+        for seed in (0, 2**32 - 1):
+            assert ExperimentConfig(seed=seed).validate() == []
+
     def test_accepts_integers_for_floats(self):
         assert ExperimentConfig(lr=1, fixed_tau=0, ablations=("fixed_threshold",)).validate() == []
 
@@ -325,9 +337,10 @@ class TestCli:
 
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
-# Wrong types, and non-finite or out-of-range numbers. No value here is a
-# large integer: that is a valid size or round count, and a run would take
-# as long as it asks for.
+# Wrong types, and non-finite or out-of-range numbers. Integers from 2**32
+# up are out of range for every integer field; below that a large integer
+# is a valid size or round count, and a run would take as long as it asks
+# for, so none is drawn.
 BAD_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -335,6 +348,8 @@ BAD_VALUES = st.one_of(
     st.lists(st.integers(-2, 2), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
     st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, -0.5, 0.0, 1.5, 2.0]),
+    st.integers(min_value=2**32),
+    st.sampled_from([2**32, 10**400]),
 )
 
 
@@ -350,6 +365,8 @@ class TestCliConfigFuzz:
         ('[1]', "JSON object"),
         ('{"ablations": ["fixed_threshold"], "fixed_tau": "nan"}', "fixed_tau"),
         ('{"ablations": 5}', "ablations"),
+        (f'{{"rounds": {10**400}}}', "rounds"),
+        ('{"seed": 4294967296}', "seed"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, fragment):
         cfg_file = tmp_path / "cfg.json"

@@ -1,7 +1,7 @@
 """Model tests: top-k selection, forward degenerate cases, exact gradients
-against finite differences, dense-mixture equivalence at k=S, the batched
-masked KL against the per-sample oracle, and the byte-exact checkpoint
-format."""
+against finite differences, dense-mixture equivalence at k=S, the dense
+expert dispatch against the per-expert sparse oracle, the batched masked KL
+against the per-sample oracle, and the byte-exact checkpoint format."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import grad_check
+from fedalign.client import RegContext, local_round
+from fedalign.data import ClientDataset
 from fedalign.model import (
     MoEConfig,
     ModelParams,
@@ -20,7 +22,6 @@ from fedalign.model import (
     masked_kl,
     save_checkpoint,
     top_k_select,
-    zeros_like_params,
 )
 from fedalign.numeric import softmax
 
@@ -188,6 +189,72 @@ def test_dense_mixture_equivalence_at_k_equals_s():
         assert abs(ce - dense) < 1e-9
 
 
+def assert_close_rel(actual, expected, what):
+    """Agreement within 1e-12 of the largest entry of `expected`."""
+    scale = max(np.abs(expected).max(initial=0.0), np.finfo(float).tiny)
+    worst = np.abs(np.asarray(actual) - expected).max(initial=0.0)
+    assert worst <= 1e-12 * scale, f"{what}: {worst:.3g} against scale {scale:.3g}"
+
+
+class TestDenseDispatchOracle:
+    """The dense dispatch of `forward`/`backward` against the per-expert
+    sparse dispatch it replaced (`oracles.sparse_forward`/`sparse_backward`),
+    with tied gate scores from rounded weights and inputs, and top-k
+    weights that underflow to 0 under a x400 gate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.integers(1, 32),
+        k_frac=st.floats(0.0, 1.0),
+        b=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        rounded=st.booleans(),
+        gate_scale=st.sampled_from([1.0, 400.0]),
+    )
+    def test_matches_sparse_oracle(self, s, k_frac, b, seed, rounded, gate_scale):
+        k = 1 + min(s - 1, int(k_frac * s))
+        config = MoEConfig(input_dim=3, hidden_dim=4, num_experts=s, top_k=k,
+                           num_classes=3, expert_hidden=3)
+        rng = np.random.default_rng(seed)
+        params = init_params(config, rng)
+        x = rng.normal(size=(b, config.input_dim))
+        labels = rng.integers(0, config.num_classes, size=b)
+        if rounded:
+            x = np.round(x)
+            params.embed = np.round(params.embed * 2.0)
+            params.gate = np.round(params.gate * 2.0)
+        params.gate *= gate_scale
+        p_g = rng.dirichlet(np.ones(s))
+        alpha = rng.uniform(0.0, 1.0, size=s)
+        lam = 0.3
+
+        trace, loss = forward(config, params, x, labels)
+        grads = backward(trace, params, config, lam, RegCtx(p_g, alpha))
+        ref = oracles.sparse_forward(params, x, k, labels)
+        ref_grads = oracles.sparse_backward(ref, params, labels, k, lam, p_g, alpha)
+
+        assert np.array_equal(trace.topk_idx, ref["topk_idx"])
+        assert_close_rel(trace.logits, ref["logits"], "logits")
+        assert_close_rel(loss, ref["loss"], "loss")
+        for block in ModelParams.BLOCKS:
+            assert_close_rel(getattr(grads, block), ref_grads[block], block)
+        off = np.setdiff1d(np.arange(s), list(ref["cache"]))
+        for block in ("expert_w1", "expert_b1", "expert_w2", "expert_b2"):
+            assert not np.any(getattr(grads, block)[off])
+
+        # One full batch at lr 0: the experts local_round marks activated
+        # are exactly the experts the oracle dispatched rows to. (Its
+        # statistics pass needs a second expert for the top-1 margin.)
+        if s == 1:
+            return
+        res = local_round(
+            config, params, ClientDataset(0, x, labels),
+            RegContext(p_g=p_g, lam=lam, alpha=alpha),
+            epochs=1, lr=0.0, rng=np.random.default_rng(0), batch_size=b,
+        )
+        assert set(np.flatnonzero(res.activated).tolist()) == set(ref["cache"])
+
+
 def test_backward_requires_labels():
     config = small_config()
     params, x, _ = small_batch(config)
@@ -324,13 +391,3 @@ class TestCheckpoint:
         bad.write_bytes(raw + b"\x00")
         with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(bad)
-
-
-def test_zeros_like_params():
-    config = small_config()
-    params, _, _ = small_batch(config)
-    z = zeros_like_params(params)
-    for block in ModelParams.BLOCKS:
-        arr = getattr(z, block)
-        assert arr.shape == getattr(params, block).shape
-        assert np.all(arr == 0.0)
