@@ -65,12 +65,14 @@ def compute_p_bar(trace: M.ForwardTrace) -> np.ndarray:
 
 def compute_margin(trace: M.ForwardTrace) -> np.ndarray:
     """Mean positive dominance of each expert's full-softmax probability over
-    the best alternative; at most one expert per sample contributes."""
+    the best alternative; at most one expert per sample contributes. With a
+    single expert the alternative has probability 0."""
     fp = trace.full_probs
     s = fp.shape[1]
+    rows = np.arange(fp.shape[0])
     order = np.argsort(-fp, axis=1, kind="stable")
     top = order[:, 0]
-    gap = fp[np.arange(fp.shape[0]), top] - fp[np.arange(fp.shape[0]), order[:, 1]]
+    gap = fp[rows, top] - (fp[rows, order[:, 1]] if s > 1 else 0.0)
     margin = np.zeros(s)
     np.add.at(margin, top, np.maximum(gap, 0.0))
     return margin / fp.shape[0]

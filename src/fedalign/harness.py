@@ -207,17 +207,9 @@ def evaluate(
     return float((pred == labels).mean())
 
 
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def _broadcast_params(
-    cfg: ExperimentConfig, global_params: M.ModelParams, local_gate: np.ndarray | None
-) -> M.ModelParams:
-    params = global_params.copy()
-    if cfg.ablated("no_gating_broadcast") and local_gate is not None:
-        params.gate = local_gate.copy()
-    return params
+def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total-variation distance between distributions along the last axis."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
@@ -244,12 +236,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
+    sizes = np.array([shard.size for shard in shards], dtype=np.float64)
+    size_w = sizes / sizes.sum()
 
     global_params = M.init_params(mcfg, child_rng(cfg.seed, "init"))
-    local_gates: list[np.ndarray | None] = [None] * n
+    # Client i's own gate, used in place of the global one under
+    # no_gating_broadcast. Entries are rebound, never written in place.
+    local_gates = [global_params.gate] * n
+    no_broadcast = cfg.ablated("no_gating_broadcast")
+    # The round's client updates, one leading client axis per block; row i
+    # is refilled as client i's round returns.
+    deltas = M.ModelParams(
+        *(np.empty((n,) + getattr(global_params, b).shape) for b in M.ModelParams.BLOCKS)
+    )
     p_g = np.full(s, 1.0 / s)
     prev_mean = np.full(s, 1.0 / s)
-    prev_p_bar = [np.full(s, 1.0 / s) for _ in range(n)]
+    prev_p_bar = np.full((n, s), 1.0 / s)
 
     is_align = cfg.method == "fedalign"
     records: list[RoundRecord] = []
@@ -257,19 +259,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     # Pre-aggregation reference level: per-shard routing spread of the
     # initial model, before any training or aggregation has happened.
-    init_p_bars = [
-        C.compute_p_bar(M.forward(mcfg, global_params, sh.features)[0]) for sh in shards
-    ]
-    init_mean = np.mean(init_p_bars, axis=0)
-    initial_disagreement = float(
-        np.mean([total_variation(pb, init_mean) for pb in init_p_bars])
+    init_p_bar = np.stack(
+        [C.compute_p_bar(M.forward(mcfg, global_params, sh.features)[0]) for sh in shards]
     )
+    initial_disagreement = float(total_variation(init_p_bar, init_p_bar.mean(axis=0)).mean())
 
     for t in range(1, cfg.rounds + 1):
-        results: list[C.LocalRoundResult] = []
-        for shard in shards:
-            i = shard.client_id
-            start = _broadcast_params(cfg, global_params, local_gates[i])
+        p_bar, margin = np.empty((n, s)), np.empty((n, s))
+        mu, mu_empty = np.empty((s, n, cfg.hidden_dim)), np.empty((s, n), dtype=bool)
+        local_loss, reg_loss = np.empty(n), np.empty(n)
+        for i, shard in enumerate(shards):
+            start = replace(global_params, gate=local_gates[i]) if no_broadcast else global_params
             overlap = prev_p_bar[i] * prev_mean
             if is_align and not cfg.ablated("no_adaptive_alpha"):
                 alpha = C.compute_alpha(overlap, cfg.eta)
@@ -292,25 +292,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 )
             except FloatingPointError as exc:
                 raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
-            results.append(res)
+            for b in M.ModelParams.BLOCKS:
+                getattr(deltas, b)[i] = getattr(res.param_delta, b)
+            st = res.stats
+            p_bar[i], margin[i], mu[:, i], mu_empty[:, i] = st.p_bar, st.margin, st.mu, st.mu_empty
+            local_loss[i], reg_loss[i] = res.mean_local_loss, res.mean_reg_loss
             local_gates[i] = start.gate + res.param_delta.gate
 
-        # Canonical client order for every reduction.
-        results.sort(key=lambda r: r.client_id)
-        stats = [r.stats for r in results]
-        deltas = [r.param_delta for r in results]
-        sizes = np.array([st.dataset_size for st in stats], dtype=np.float64)
-        p_bar_mat = np.stack([st.p_bar for st in stats])
-        mean_p = p_bar_mat.mean(axis=0)
-
+        mean_p = p_bar.mean(axis=0)
         if is_align and not cfg.ablated("no_consistency_weighting"):
-            omega = S.consistency_weights(stats)
-            p_g_new = S.global_routing(stats, omega)
+            omega = S.consistency_weights(p_bar, margin)
+            p_g_new = S.global_routing(p_bar, omega)
         else:
             omega = np.full((n, s), 1.0 / n)
             p_g_new = mean_p / mean_p.sum()
 
-        sim, dcons = S.pairwise_semantics(stats, deltas)
+        sim, dcons = S.pairwise_semantics(mu, mu_empty, deltas)
         tau, mean_sim, disp = S.adaptive_threshold(sim, cfg.beta)
         if cfg.ablated("fixed_threshold"):
             tau = np.full(s, float(cfg.fixed_tau))
@@ -318,7 +315,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             sim, dcons, tau, use_direction=not cfg.ablated("no_direction_consensus")
         )
 
-        size_w = sizes / sizes.sum()
         if is_align and not cfg.ablated("uniform_gamma"):
             w_experts, updated = S.expert_weights(gamma)
         else:
@@ -329,35 +325,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         global_params = S.aggregate_experts(global_params, deltas, w_experts, updated, size_w)
 
         # Metrics.
-        pre_dis = float(np.mean([total_variation(pb, p_g_new) for pb in p_bar_mat]))
-        post_p_bars = []
-        local_accs = []
-        for shard in shards:
-            bparams = _broadcast_params(cfg, global_params, local_gates[shard.client_id])
-            trace, _ = M.forward(mcfg, bparams, shard.features)
-            post_p_bars.append(C.compute_p_bar(trace))
-            pred = np.argmax(trace.logits, axis=1)
-            local_accs.append(float((pred == shard.labels).mean()))
-        post_dis = float(np.mean([total_variation(pb, p_g_new) for pb in post_p_bars]))
-        mean_post = np.mean(post_p_bars, axis=0)
-        spread_pre = float(np.mean([total_variation(pb, mean_p) for pb in p_bar_mat]))
-        spread_post = float(np.mean([total_variation(pb, mean_post) for pb in post_p_bars]))
-        disruption = float(
-            np.mean([total_variation(a, b) for a, b in zip(post_p_bars, p_bar_mat)])
-        )
+        post_p_bar, local_accs = np.empty((n, s)), np.empty(n)
+        for i, shard in enumerate(shards):
+            params = replace(global_params, gate=local_gates[i]) if no_broadcast else global_params
+            trace, _ = M.forward(mcfg, params, shard.features)
+            post_p_bar[i] = C.compute_p_bar(trace)
+            local_accs[i] = (np.argmax(trace.logits, axis=1) == shard.labels).mean()
         records.append(
             RoundRecord(
                 round_index=t,
                 global_accuracy=evaluate(mcfg, global_params, test_x, test_y),
                 local_accuracy_mean=float(np.mean(local_accs)),
                 local_accuracy_std=float(np.std(local_accs)),
-                mean_local_loss=float(np.mean([r.mean_local_loss for r in results])),
-                mean_reg_loss=float(np.mean([r.mean_reg_loss for r in results])),
-                routing_disagreement_pre=pre_dis,
-                routing_disagreement_post=post_dis,
-                routing_spread_pre=spread_pre,
-                routing_spread_post=spread_post,
-                routing_disruption=disruption,
+                mean_local_loss=float(np.mean(local_loss)),
+                mean_reg_loss=float(np.mean(reg_loss)),
+                routing_disagreement_pre=float(total_variation(p_bar, p_g_new).mean()),
+                routing_disagreement_post=float(total_variation(post_p_bar, p_g_new).mean()),
+                routing_spread_pre=float(total_variation(p_bar, mean_p).mean()),
+                routing_spread_post=float(
+                    total_variation(post_p_bar, post_p_bar.mean(axis=0)).mean()
+                ),
+                routing_disruption=float(total_variation(post_p_bar, p_bar).mean()),
                 expert_semantic_divergence=float(np.mean(1.0 - mean_sim)),
             )
         )
@@ -374,8 +362,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
         p_g = p_g_new
         prev_mean = mean_p
-        for idx, st in enumerate(stats):
-            prev_p_bar[idx] = st.p_bar
+        prev_p_bar = p_bar
 
     result = ExperimentResult(cfg, records, global_params, reports, initial_disagreement)
     if out_dir is not None:

@@ -74,9 +74,11 @@ class ModelParams:
 EXPERT_BLOCKS = ("expert_w1", "expert_b1", "expert_w2", "expert_b2")
 
 
-def expert_rows(params: ModelParams, experts: slice = slice(None)) -> np.ndarray:
+def expert_rows(params: ModelParams, experts=slice(None)) -> np.ndarray:
     """One row per selected expert: its w1|b1|w2|b2 concatenated in row-major
-    order, (S, P) by default. Update cosines and the upload payload use it."""
+    order, (S, P) by default. `experts` may be any index into the blocks'
+    leading axes: with a leading client axis, `np.s_[:, e]` gives expert e
+    of every client as (N, P). Update cosines and the upload payload use it."""
     parts = [getattr(params, b)[experts] for b in EXPERT_BLOCKS]
     n = parts[0].shape[0]
     return np.concatenate([p.reshape(n, -1) for p in parts], axis=1)

@@ -2,10 +2,11 @@
 global routing reference, semantic-aware expert aggregation with adaptive
 thresholds, and size-weighted averaging for the remaining blocks.
 
-A client update is a `ModelParams` of deltas. Every block is aggregated by
-the one kernel `weighted_average`, which accumulates in ascending client
-order, so results are bitwise reproducible under permutations of the
-upload list once it is sorted by client id.
+Every input carries one client axis of length N, in client-id order: the
+routing masses and margins are (N, S), the mu rows (S, N, H), and the
+round's updates one `ModelParams` of deltas whose blocks lead with N. Every
+block is aggregated by the one kernel `weighted_average`, which accumulates
+in ascending client order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as M
 from .numeric import NORM_FLOOR, cosine_sim, norm, sigmoid
-
-if TYPE_CHECKING:  # client imports baselines, which imports this module
-    from .client import RoutingStats
 
 log = logging.getLogger(__name__)
 
@@ -47,16 +44,15 @@ class AggregationReport:
         return json.dumps(rec, sort_keys=True)
 
 
-def consistency_weights(stats: list[RoutingStats]) -> np.ndarray:
-    """Per-expert client weights omega (N x S).
+def consistency_weights(p_bar: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Per-expert client weights omega (N x S) from the clients' routing
+    masses p_bar and top-1 margins, both (N, S).
 
     s_i(e) = o_i(e) * m_i(e) with o_i(e) the product of the client's routing
     mass and the cross-client mean mass. Columns with total score below
     NORM_FLOOR fall back to uniform 1/N (logged).
     """
-    n = len(stats)
-    p_bar = np.stack([st.p_bar for st in stats])  # (N, S)
-    margin = np.stack([st.margin for st in stats])
+    n = p_bar.shape[0]
     mean_p = p_bar.mean(axis=0)
     score = p_bar * mean_p[None, :] * margin  # o * m
     col = score.sum(axis=0)
@@ -70,13 +66,13 @@ def consistency_weights(stats: list[RoutingStats]) -> np.ndarray:
     return omega
 
 
-def global_routing(stats: list[RoutingStats], omega: np.ndarray) -> np.ndarray:
-    """Consistency-weighted routing reference, renormalized onto the simplex.
+def global_routing(p_bar: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Consistency-weighted routing reference from the (N, S) p_bar,
+    renormalized onto the simplex.
 
     Per-expert weighting breaks simplex membership, so the raw vector is
     renormalized; an all-zero raw vector degenerates to uniform.
     """
-    p_bar = np.stack([st.p_bar for st in stats])
     raw = (omega * p_bar).sum(axis=0)
     total = raw.sum()
     if total < NORM_FLOOR:
@@ -86,26 +82,21 @@ def global_routing(stats: list[RoutingStats], omega: np.ndarray) -> np.ndarray:
 
 
 def pairwise_semantics(
-    stats: list[RoutingStats], deltas: list[M.ModelParams]
+    mu: np.ndarray, mu_empty: np.ndarray, deltas: M.ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise semantic similarity S and direction consensus D per expert.
 
-    S compares the clients' mu rows, D their `model.expert_rows` of the
-    update; each expert takes one stacked `cosine_sim` call per quantity
-    over all N^2 client pairs. Any pair where either mu is empty-flagged or
-    either delta is zero is excluded from consensus: both entries are 0.
+    S compares the clients' mu rows (S, N, H), D their `model.expert_rows`
+    of the stacked update; each expert takes one stacked `cosine_sim` call
+    per quantity over all N^2 client pairs. Any pair where either mu is
+    empty-flagged (mu_empty is (S, N)) or either delta is zero is excluded
+    from consensus: both entries are 0.
     """
-    mu = np.stack([st.mu for st in stats], axis=1)  # (S, N, H)
-    mu_empty = np.stack([st.mu_empty for st in stats], axis=1)  # (S, N)
     s, n = mu_empty.shape
     sim = np.empty((s, n, n))
     dcons = np.empty((s, n, n))
-    # One (N, P) buffer refilled per expert; the (S, N, P) stack of update
-    # rows would be the largest array of a wide round.
-    rows = np.empty((n, M.expert_rows(deltas[0], slice(0, 1)).shape[1]))
     for e in range(s):
-        for i, d in enumerate(deltas):
-            rows[i] = M.expert_rows(d, slice(e, e + 1))[0]
+        rows = M.expert_rows(deltas, np.s_[:, e])  # (N, P)
         valid = ~mu_empty[e] & (norm(rows) >= NORM_FLOOR)
         pair = valid[:, None] & valid[None, :]
         x = mu[e]
@@ -159,13 +150,14 @@ def expert_weights(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def aggregate_experts(
     global_params: M.ModelParams,
-    deltas: list[M.ModelParams],
+    deltas: M.ModelParams,
     weights: np.ndarray,
     updated: np.ndarray,
     size_weights: np.ndarray,
 ) -> M.ModelParams:
     """One round's new global model: every block plus the weighted sum of
-    the client deltas in ascending client order.
+    the client deltas, whose blocks lead with the client axis, in ascending
+    client order.
 
     Expert blocks take the per-expert weights (S, N); experts not `updated`
     keep their previous bytes. The other blocks take size_weights (N,).
@@ -175,18 +167,17 @@ def aggregate_experts(
     for b in M.ModelParams.BLOCKS:
         old = getattr(global_params, b)
         is_expert = b in M.EXPERT_BLOCKS
-        new = old + weighted_average(
-            [getattr(d, b) for d in deltas], weights if is_expert else size_weights
-        )
+        new = old + weighted_average(getattr(deltas, b), weights if is_expert else size_weights)
         if is_expert:
             new[frozen] = old[frozen]
         out.append(new)
     return M.ModelParams(*out)
 
 
-def weighted_average(blocks: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+def weighted_average(blocks, weights: np.ndarray) -> np.ndarray:
     """sum_i weights[..., i] * blocks[i], accumulated in ascending order.
 
+    blocks is an (N, ...) array or a sequence of N equal-shape arrays.
     weights are already normalized: (N,), or (S, N) with row e applied to
     entry e of each block's leading (expert) axis.
     """

@@ -1,7 +1,9 @@
 """Test tools: builders for client updates (a `ModelParams` of deltas made
-from per-expert rows, and the model a delta leads to), row scales around
-NORM_FLOOR for property tests, and the central finite-difference gradient
-checker."""
+from per-expert rows, and the model a delta leads to), the stacked arrays
+the server takes from per-client uploads, row scales around NORM_FLOOR for
+property tests, and the central finite-difference gradient checker."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +42,26 @@ def expert_delta(rows, like=None):
     for b, part in zip(names, np.split(rows, np.cumsum(sizes)[:-1], axis=1)):
         setattr(out, b, part.reshape(getattr(out, b).shape).copy())
     return out
+
+
+def stack_uploads(stats, deltas=()):
+    """Per-client uploads as the server takes them, on one client axis.
+
+    From the `RoutingStats`: p_bar and margin (N, S), mu (S, N, H) and
+    mu_empty (S, N). From the update `ModelParams`: deltas, one `ModelParams`
+    whose blocks lead with N. An empty list leaves its side None.
+    """
+    up = SimpleNamespace(p_bar=None, margin=None, mu=None, mu_empty=None, deltas=None)
+    if len(stats):
+        up.p_bar = np.stack([st.p_bar for st in stats])
+        up.margin = np.stack([st.margin for st in stats])
+        up.mu = np.stack([st.mu for st in stats], axis=1)
+        up.mu_empty = np.stack([st.mu_empty for st in stats], axis=1)
+    if len(deltas):
+        up.deltas = ModelParams(
+            *(np.stack([getattr(d, b) for d in deltas]) for b in ModelParams.BLOCKS)
+        )
+    return up
 
 
 def apply_delta(params, delta):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import expert_delta, grad_check
+from helpers import expert_delta, grad_check, stack_uploads
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -132,9 +132,8 @@ def test_criterion_2_formula_oracles(report):
                               np.asarray(margin, float), np.ones((2, 2)),
                               np.zeros(2, bool), 10)
 
-    omega = S.consistency_weights(
-        [stats([0.6, 0.4], [0.3, 0.1]), stats([0.2, 0.8], [0.1, 0.1])]
-    )
+    up = stack_uploads([stats([0.6, 0.4], [0.3, 0.1]), stats([0.2, 0.8], [0.1, 0.1])])
+    omega = S.consistency_weights(up.p_bar, up.margin)
     checks.append(np.allclose(omega[:, 0], oracles.OMEGA_TWO_CLIENTS, atol=1e-9))
     tau, mean_sim, disp = S.adaptive_threshold(
         np.array([[[1.0, 0.5], [0.5, 1.0]]]), 1.0
@@ -200,9 +199,10 @@ def test_criterion_4_homogeneity_fixed_point(report):
             for _ in range(n)
         ]
         deltas = [expert_delta(d) for _ in range(n)]
-        omega = S.consistency_weights(stats)
-        p_g = S.global_routing(stats, omega)
-        sim, dcons = S.pairwise_semantics(stats, deltas)
+        up = stack_uploads(stats, deltas)
+        omega = S.consistency_weights(up.p_bar, up.margin)
+        p_g = S.global_routing(up.p_bar, omega)
+        sim, dcons = S.pairwise_semantics(up.mu, up.mu_empty, up.deltas)
         tau, _, _ = S.adaptive_threshold(sim, 0.5)
         w, updated = S.expert_weights(S.gated_weights(sim, dcons, tau))
         update = np.einsum("en,enp->ep", w,
@@ -233,9 +233,10 @@ def test_criterion_5_permutation_equivariance(report):
     def pipeline(order):
         st = [stats[i] for i in order]
         dl = [deltas[i] for i in order]
-        omega = S.consistency_weights(st)
-        p_g = S.global_routing(st, omega)
-        sim, dcons = S.pairwise_semantics(st, dl)
+        up = stack_uploads(st, dl)
+        omega = S.consistency_weights(up.p_bar, up.margin)
+        p_g = S.global_routing(up.p_bar, omega)
+        sim, dcons = S.pairwise_semantics(up.mu, up.mu_empty, up.deltas)
         tau, _, _ = S.adaptive_threshold(sim, 0.5)
         w, updated = S.expert_weights(S.gated_weights(sim, dcons, tau))
         # Canonical accumulation: ascending original client id.

@@ -80,6 +80,10 @@ class TestMargin:
         trace = SimpleNamespace(full_probs=np.full((3, 4), 0.25))
         np.testing.assert_allclose(compute_margin(trace), 0.0, atol=1e-12)
 
+    def test_single_expert_runner_up_is_zero(self):
+        trace = SimpleNamespace(full_probs=np.ones((3, 1)))
+        assert compute_margin(trace).tolist() == [1.0]
+
     def test_hand_average(self):
         trace = SimpleNamespace(
             full_probs=np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])

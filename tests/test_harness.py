@@ -260,6 +260,17 @@ class TestCli:
         assert (tmp_path / "out/summary.csv").exists()
         assert (tmp_path / "out/final.ckpt").exists()
 
+    def test_single_expert_exit_0(self, tmp_path, capsys):
+        # One expert: the top-1 margin has no runner-up to measure against.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "num_experts": 1, "top_k": 1, "rounds": 1, "samples_per_class": 20,
+            "num_clients": 2, "dirichlet_alpha": 1.0,
+        }))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["rounds"] == 1
+
     def test_invalid_method_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(dict(TINY, method="sgd")))

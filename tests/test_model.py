@@ -243,10 +243,7 @@ class TestDenseDispatchOracle:
             assert not np.any(getattr(grads, block)[off])
 
         # One full batch at lr 0: the experts local_round marks activated
-        # are exactly the experts the oracle dispatched rows to. (Its
-        # statistics pass needs a second expert for the top-1 margin.)
-        if s == 1:
-            return
+        # are exactly the experts the oracle dispatched rows to.
         res = local_round(
             config, params, ClientDataset(0, x, labels),
             RegContext(p_g=p_g, lam=lam, alpha=alpha),

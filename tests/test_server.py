@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import NORM_SCALES, expert_delta
+from helpers import NORM_SCALES, expert_delta, stack_uploads
 from fedalign.client import RoutingStats
 from fedalign.model import MoEConfig, expert_rows, init_params
 from fedalign.server import (
@@ -45,7 +45,8 @@ def make_stats(p_bar, margin, mu=None, mu_empty=None, size=10):
 class TestConsistencyWeights:
     def test_identical_clients_uniform(self):
         st = [make_stats([0.6, 0.4], [0.3, 0.2]) for _ in range(4)]
-        omega = consistency_weights(st)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
         np.testing.assert_allclose(omega, 0.25, atol=1e-9)
 
     def test_zero_mass_client_excluded(self):
@@ -53,7 +54,8 @@ class TestConsistencyWeights:
             make_stats([0.0, 1.0], [0.0, 0.5]),
             make_stats([0.6, 0.4], [0.3, 0.2]),
         ]
-        omega = consistency_weights(st)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
         assert omega[0, 0] == 0.0
         assert abs(omega[1, 0] - 1.0) < 1e-9
 
@@ -63,7 +65,8 @@ class TestConsistencyWeights:
             make_stats([0.6, 0.4], [0.3, 0.1]),
             make_stats([0.2, 0.8], [0.1, 0.1]),
         ]
-        omega = consistency_weights(st)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
         np.testing.assert_allclose(
             omega[:, 0], oracles.OMEGA_TWO_CLIENTS, atol=1e-9
         )
@@ -74,31 +77,35 @@ class TestConsistencyWeights:
             make_stats(rng.dirichlet(np.ones(4)), rng.uniform(0.05, 0.4, 4))
             for _ in range(5)
         ]
-        omega = consistency_weights(st)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
         np.testing.assert_allclose(omega.sum(axis=0), 1.0, atol=1e-9)
 
     def test_all_zero_column_falls_back_uniform(self):
         st = [make_stats([0.0, 1.0], [0.0, 0.5]) for _ in range(4)]
-        omega = consistency_weights(st)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
         np.testing.assert_allclose(omega[:, 0], 0.25, atol=1e-12)
 
 
 class TestGlobalRouting:
     def test_single_client(self):
         st = [make_stats([0.7, 0.3], [0.2, 0.1])]
-        omega = consistency_weights(st)
-        np.testing.assert_allclose(global_routing(st, omega), [0.7, 0.3], atol=1e-9)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
+        np.testing.assert_allclose(global_routing(up.p_bar, omega), [0.7, 0.3], atol=1e-9)
 
     def test_identical_clients(self):
         st = [make_stats([0.7, 0.3], [0.2, 0.1]) for _ in range(3)]
-        omega = consistency_weights(st)
-        np.testing.assert_allclose(global_routing(st, omega), [0.7, 0.3], atol=1e-9)
+        up = stack_uploads(st)
+        omega = consistency_weights(up.p_bar, up.margin)
+        np.testing.assert_allclose(global_routing(up.p_bar, omega), [0.7, 0.3], atol=1e-9)
 
     def test_renormalization(self):
         # Force raw = (0.3, 0.1) via one client with omega 1.
-        st = [make_stats([0.3, 0.1], [0.2, 0.2])]
+        up = stack_uploads([make_stats([0.3, 0.1], [0.2, 0.2])])
         omega = np.ones((1, 2))
-        np.testing.assert_allclose(global_routing(st, omega), [0.75, 0.25], atol=1e-12)
+        np.testing.assert_allclose(global_routing(up.p_bar, omega), [0.75, 0.25], atol=1e-12)
 
     def test_simplex(self):
         rng = np.random.default_rng(1)
@@ -106,7 +113,8 @@ class TestGlobalRouting:
             make_stats(rng.dirichlet(np.ones(4)), rng.uniform(0.05, 0.4, 4))
             for _ in range(5)
         ]
-        p_g = global_routing(st, consistency_weights(st))
+        up = stack_uploads(st)
+        p_g = global_routing(up.p_bar, consistency_weights(up.p_bar, up.margin))
         assert np.all(p_g >= 0) and abs(p_g.sum() - 1.0) < 1e-9
 
 
@@ -121,7 +129,8 @@ def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
         expert_delta(np.array([d1, [1.0, 0.0]])),
         expert_delta(np.array([d2, [1.0, 0.0]])),
     ]
-    return pairwise_semantics(st, deltas)
+    up = stack_uploads(st, deltas)
+    return pairwise_semantics(up.mu, up.mu_empty, up.deltas)
 
 
 class TestPairwiseSemantics:
@@ -191,7 +200,8 @@ class TestPairwiseSemanticsOracle:
         ]
         deltas = [expert_delta(upd[i], like) for i in range(n)]
 
-        sim, dcons = pairwise_semantics(stats, deltas)
+        up = stack_uploads(stats, deltas)
+        sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
         want_sim, want_dcons = oracles.pairwise_semantics_loop(stats, deltas)
         assert np.array_equal(sim, want_sim)
         assert np.array_equal(dcons, want_dcons)
@@ -275,7 +285,9 @@ class TestExpertAggregation:
         p = base.size
         d1 = np.zeros(p); d1[0] = 2.0
         d2 = np.zeros(p); d2[1] = 2.0
-        deltas = [expert_delta(d1[None, :], params), expert_delta(d2[None, :], params)]
+        deltas = stack_uploads(
+            [], [expert_delta(d1[None, :], params), expert_delta(d2[None, :], params)]
+        ).deltas
         w = np.array([[0.75, 0.25]])
         out = aggregate_experts(params, deltas, w, np.array([True]), w[0])
         got = expert_rows(out)[0] - base
@@ -287,7 +299,7 @@ class TestExpertAggregation:
         params = init_params(config, np.random.default_rng(0))
         base = expert_rows(params)[0]
         d = np.random.default_rng(1).normal(size=base.size)
-        deltas = [expert_delta(d[None, :], params)] * 3
+        deltas = stack_uploads([], [expert_delta(d[None, :], params)] * 3).deltas
         w = np.full((1, 3), 1.0 / 3.0)
         out = aggregate_experts(params, deltas, w, np.array([True]), w[0])
         np.testing.assert_allclose(expert_rows(out)[0] - base, d, atol=1e-12)
@@ -297,7 +309,7 @@ class TestExpertAggregation:
         params = init_params(config, np.random.default_rng(0))
         before = expert_rows(params)[1]
         d = np.ones((2, before.size))
-        deltas = [expert_delta(d, params)]
+        deltas = stack_uploads([], [expert_delta(d, params)]).deltas
         out = aggregate_experts(params, deltas, np.ones((2, 1)),
                                 np.array([True, False]), np.ones(1))
         assert np.array_equal(expert_rows(out)[1], before)
@@ -307,7 +319,7 @@ class TestExpertAggregation:
         params = init_params(config, np.random.default_rng(0))
         base = expert_rows(params)[0]
         d = np.random.default_rng(2).normal(size=base.size)
-        deltas = [expert_delta(d[None, :], params)]
+        deltas = stack_uploads([], [expert_delta(d[None, :], params)]).deltas
         gamma = np.full((1, 1, 1), 0.5)
         w, updated = expert_weights(gamma)
         out = aggregate_experts(params, deltas, w, updated, np.ones(1))
@@ -364,7 +376,9 @@ class TestAggregationKernel:
                    "random": rng.uniform(size=s) < 0.5}[freeze]
         sizes = rng.integers(1, 50, size=n).astype(np.float64)
 
-        got = aggregate_experts(start, deltas, weights, updated, sizes / sizes.sum())
+        got = aggregate_experts(
+            start, stack_uploads([], deltas).deltas, weights, updated, sizes / sizes.sum()
+        )
         want = oracles.aggregate_round_flat(start, deltas, weights, updated, sizes)
         for b, arr in want.items():
             # Byte equality also tells -0.0 from 0.0.
@@ -391,9 +405,10 @@ class TestPermutationEquivariance:
         deltas = [expert_delta(rng.normal(size=(s, p))) for _ in range(n)]
 
         def pipeline(st, dl):
-            omega = consistency_weights(st)
-            p_g = global_routing(st, omega)
-            sim, dcons = pairwise_semantics(st, dl)
+            up = stack_uploads(st, dl)
+            omega = consistency_weights(up.p_bar, up.margin)
+            p_g = global_routing(up.p_bar, omega)
+            sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
             tau, _, _ = adaptive_threshold(sim, 0.5)
             gamma = gated_weights(sim, dcons, tau)
             w, updated = expert_weights(gamma)
@@ -424,11 +439,12 @@ class TestHomogeneityFixedPoint:
         d = rng.normal(size=(s, p))
         stats = [make_stats(p_bar, margin, mu=mu) for _ in range(n)]
         deltas = [expert_delta(d) for _ in range(n)]
-        omega = consistency_weights(stats)
+        up = stack_uploads(stats, deltas)
+        omega = consistency_weights(up.p_bar, up.margin)
         np.testing.assert_allclose(omega, 1.0 / n, atol=1e-9)
-        p_g = global_routing(stats, omega)
+        p_g = global_routing(up.p_bar, omega)
         np.testing.assert_allclose(p_g, p_bar, atol=1e-9)
-        sim, dcons = pairwise_semantics(stats, deltas)
+        sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
         tau, mean_sim, disp = adaptive_threshold(sim, 0.5)
         np.testing.assert_allclose(tau, 1.0, atol=1e-9)
         np.testing.assert_allclose(disp, 0.0, atol=1e-9)
