@@ -3,11 +3,12 @@ partitioning across clients."""
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Partition draws before dirichlet_partition gives up on an empty client.
+PARTITION_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -82,19 +83,18 @@ def dirichlet_partition(
     num_clients: int,
     concentration: float,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> list[ClientDataset]:
     """Label-skew split: per class, proportions ~ Dir(concentration * 1_N).
 
     The shards are disjoint and jointly exhaust the pool. If any client ends
-    up empty the draw is retried up to max_retries times, then ValueError.
+    up empty the draw is retried, up to PARTITION_DRAWS draws, then ValueError.
     """
     if concentration <= 0:
         raise ValueError("concentration must be > 0")
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(PARTITION_DRAWS):
         assignment = [[] for _ in range(num_clients)]
         for c in classes:
             idx = np.nonzero(labels == c)[0]
@@ -112,63 +112,6 @@ def dirichlet_partition(
             return shards
     raise ValueError(
         f"dirichlet_partition: {num_clients} clients at dirichlet_alpha={concentration} "
-        f"left a client empty in each of {max_retries} draws; raise the alpha or lower "
+        f"left a client empty in each of {PARTITION_DRAWS} draws; raise the alpha or lower "
         "the client count"
     )
-
-
-def dump_clients_csv(shards: list[ClientDataset], path):
-    """CSV dump with header client_id,label,f0..f{d-1}."""
-    d = shards[0].features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["client_id", "label"] + [f"f{i}" for i in range(d)])
-        for shard in shards:
-            for row, lab in zip(shard.features, shard.labels):
-                writer.writerow(
-                    [shard.client_id, int(lab)] + [repr(float(v)) for v in row]
-                )
-
-
-def load_clients_csv(path) -> list[ClientDataset]:
-    """Read a `dump_clients_csv` file back into shards, by ascending client id.
-
-    A missing header, a row whose field count differs from the header's, a
-    non-integer client id or label, or a non-numeric or non-finite feature
-    raises ValueError naming the path and line.
-    """
-    by_client: dict[int, tuple[list, list]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["client_id", "label"] or len(header) < 3:
-            raise ValueError(
-                f"{path}: line 1: missing header client_id,label,f0,...; got {header!r}"
-            )
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: {len(row)} fields, header has {len(header)}")
-            try:
-                cid, lab = int(row[0]), int(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{where}: client_id and label must be integers, got {row[:2]}"
-                ) from None
-            try:
-                feats = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise ValueError(f"{where}: non-numeric feature: {exc}") from None
-            if not all(map(math.isfinite, feats)):
-                raise ValueError(f"{where}: non-finite feature")
-            by_client.setdefault(cid, ([], []))
-            by_client[cid][0].append(feats)
-            by_client[cid][1].append(lab)
-    shards = []
-    for cid in sorted(by_client):
-        feats, labs = by_client[cid]
-        shards.append(
-            ClientDataset(cid, np.array(feats, dtype=np.float64), np.array(labs, dtype=np.int64))
-        )
-    return shards
-

@@ -106,6 +106,14 @@ class ExperimentConfig:
                     errors.append(f"unknown ablation flag {flag!r}")
             if self.ablated("fixed_threshold") and self.fixed_tau is None:
                 errors.append("fixed_threshold ablation requires fixed_tau")
+        counts = (self.num_clients, self.num_classes, self.samples_per_class)
+        if all(_is_type(v, int) and v >= 1 for v in counts):
+            pool = self.num_classes * self.samples_per_class
+            if self.num_clients > pool:
+                errors.append(
+                    f"num_clients={self.num_clients} exceeds the {pool} training samples "
+                    "(num_classes * samples_per_class), so some client would get none"
+                )
         if all(_is_type(getattr(self, name), int) for name in MODEL_FIELDS):
             try:
                 self.model_config()
@@ -288,7 +296,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                     batch_size=cfg.batch_size,
                     prox_mu=cfg.prox_mu if cfg.method == "fedprox" else 0.0,
                     prox_ref=global_params if cfg.method == "fedprox" else None,
-                    overlap=overlap,
                 )
             except FloatingPointError as exc:
                 raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc

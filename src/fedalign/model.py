@@ -11,6 +11,8 @@ renormalized KL regularizer on the gating softmax.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,7 +80,7 @@ def expert_rows(params: ModelParams, experts=slice(None)) -> np.ndarray:
     """One row per selected expert: its w1|b1|w2|b2 concatenated in row-major
     order, (S, P) by default. `experts` may be any index into the blocks'
     leading axes: with a leading client axis, `np.s_[:, e]` gives expert e
-    of every client as (N, P). Update cosines and the upload payload use it."""
+    of every client as (N, P). The update cosines use it."""
     parts = [getattr(params, b)[experts] for b in EXPERT_BLOCKS]
     n = parts[0].shape[0]
     return np.concatenate([p.reshape(n, -1) for p in parts], axis=1)
@@ -344,6 +346,9 @@ def save_checkpoint(path, config: MoEConfig, params: ModelParams):
 
 
 def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
+    """Read a `save_checkpoint` file. The size the header implies is checked
+    against the file's size before the body is read, so a corrupt header
+    fails with a named ValueError instead of a huge allocation."""
     with open(path, "rb") as fh:
         header = fh.read(32)
         if len(header) != 32:
@@ -363,14 +368,18 @@ def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
             "expert_b2": (s, h),
             "head": (h, c),
         }
-        blocks = {}
-        for name in ModelParams.BLOCKS:
-            shape = shapes[name]
-            n = int(np.prod(shape))
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"truncated checkpoint while reading {name!r}")
-            blocks[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-        if fh.read(1):
-            raise ValueError("trailing bytes in checkpoint")
-    return config, ModelParams(**blocks)
+        # Python ints: a product of uint32 dims can wrap in int64.
+        sizes = [math.prod(shapes[name]) for name in ModelParams.BLOCKS]
+        want = 32 + 8 * sum(sizes)
+        have = os.fstat(fh.fileno()).st_size
+        if have < want:
+            raise ValueError(f"truncated checkpoint: {have} bytes, header needs {want}")
+        if have > want:
+            raise ValueError(
+                f"{have - want} trailing bytes in checkpoint: {have} bytes, header needs {want}"
+            )
+        body = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+    parts = np.split(body, np.cumsum(sizes)[:-1])
+    return config, ModelParams(
+        *(part.reshape(shapes[name]) for name, part in zip(ModelParams.BLOCKS, parts))
+    )

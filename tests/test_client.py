@@ -1,9 +1,7 @@
-"""Client-side tests: routing statistics, the regularizer, local training
-behaviour, and the upload payload roundtrip."""
+"""Client-side tests: routing statistics, the regularizer and local training
+behaviour."""
 
-import json
 import math
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,10 +18,8 @@ from fedalign.client import (
     compute_margin,
     compute_mu,
     compute_p_bar,
-    load_upload,
     local_round,
     reg_loss,
-    save_upload,
 )
 from fedalign.data import ClientDataset
 from fedalign.model import MoEConfig, ModelParams, expert_rows, forward, init_params
@@ -261,7 +257,6 @@ class TestLocalRound:
         assert res.stats.margin[2] == 0.0
         assert res.stats.mu_empty[2]
         assert np.all(expert_rows(res.param_delta)[2] == 0.0)
-        assert not res.activated[2]
 
     def test_loss_linear_in_lambda(self):
         # d L_total / d lam equals the regularizer value at fixed parameters.
@@ -291,65 +286,3 @@ class TestLocalRound:
         config, params, shard, ctx = make_setup()
         with pytest.raises(ValueError):
             local_round(config, params, shard, ctx, 1, -0.1, np.random.default_rng(0))
-
-
-class TestUploadRoundtrip:
-    def _saved(self, tmp_path):
-        config, params, shard, ctx = make_setup()
-        res = local_round(config, params, shard, ctx, 1, 0.1, np.random.default_rng(0))
-        prefix = tmp_path / "upload_c0"
-        save_upload(prefix, config, res)
-        return config, res, prefix
-
-    def test_roundtrip(self, tmp_path):
-        _, res, prefix = self._saved(tmp_path)
-        rows, activated, stats, side = load_upload(prefix)
-        assert np.array_equal(rows, expert_rows(res.param_delta))
-        assert np.array_equal(activated, res.activated)
-        assert np.array_equal(stats.mu, res.stats.mu)
-        np.testing.assert_allclose(stats.p_bar, res.stats.p_bar, atol=0)
-        np.testing.assert_allclose(stats.margin, res.stats.margin, atol=0)
-        assert stats.dataset_size == res.stats.dataset_size
-        assert side["client_id"] == 0
-
-    def test_bad_magic(self, tmp_path):
-        (tmp_path / "x.bin").write_bytes(b"NOPE" + b"\x00" * 12)
-        (tmp_path / "x.json").write_text("{}")
-        with pytest.raises(ValueError):
-            load_upload(tmp_path / "x")
-
-    def test_bytes_follow_readme_layout(self, tmp_path):
-        # Parsed from the documented layout alone, without load_upload.
-        config, res, prefix = self._saved(tmp_path)
-        raw = (tmp_path / "upload_c0.bin").read_bytes()
-        assert raw[:4] == b"FUP1"
-        s, p, h = struct.unpack("<3I", raw[4:16])
-        assert (s, p, h) == (config.num_experts, expert_rows(res.param_delta).shape[1],
-                             config.hidden_dim)
-        assert len(raw) == 16 + 8 * s * (p + h)
-        body = np.frombuffer(raw, dtype="<f8", offset=16)
-        assert np.array_equal(body[: s * p].reshape(s, p),
-                              oracles.flat_expert_rows(res.param_delta))
-        assert np.array_equal(body[s * p :].reshape(s, h), res.stats.mu)
-
-    def test_truncated_or_padded_bin_rejected(self, tmp_path):
-        _, _, prefix = self._saved(tmp_path)
-        path = tmp_path / "upload_c0.bin"
-        raw = path.read_bytes()
-        for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match="truncated upload"):
-                load_upload(prefix)
-        path.write_bytes(raw + b"\x00")
-        with pytest.raises(ValueError, match="trailing bytes"):
-            load_upload(prefix)
-
-    @pytest.mark.parametrize("key", ["p_bar", "margin", "mu_empty", "activated"])
-    def test_sidecar_length_must_match_header(self, tmp_path, key):
-        _, _, prefix = self._saved(tmp_path)
-        path = tmp_path / "upload_c0.json"
-        side = json.loads(path.read_text())
-        side[key] = side[key][:-1]
-        path.write_text(json.dumps(side))
-        with pytest.raises(ValueError, match=key):
-            load_upload(prefix)

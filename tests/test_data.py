@@ -1,7 +1,6 @@
 """Data generation and Dirichlet partitioning tests."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,9 +9,7 @@ from fedalign.data import (
     ClientDataset,
     SyntheticTask,
     dirichlet_partition,
-    dump_clients_csv,
     generate,
-    load_clients_csv,
     make_default_task,
 )
 
@@ -123,68 +120,3 @@ class TestPartition:
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             ClientDataset(0, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        task = make_task(per_class=20, input_dim=4, num_classes=3)
-        x, y = generate(task, np.random.default_rng(0))
-        shards = dirichlet_partition(x, y, 3, 0.5, np.random.default_rng(1))
-        path = tmp_path / "clients.csv"
-        dump_clients_csv(shards, path)
-        loaded = load_clients_csv(path)
-        assert [s.client_id for s in loaded] == [s.client_id for s in shards]
-        for a, b in zip(shards, loaded):
-            assert np.array_equal(a.features, b.features)
-            assert np.array_equal(a.labels, b.labels)
-
-    def test_header(self, tmp_path):
-        task = make_task(per_class=5, input_dim=3, num_classes=2)
-        x, y = generate(task, np.random.default_rng(0))
-        shards = dirichlet_partition(x, y, 2, 1.0, np.random.default_rng(1))
-        path = tmp_path / "clients.csv"
-        dump_clients_csv(shards, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "client_id,label,f0,f1,f2"
-
-
-class TestCsvErrors:
-    HEADER = "client_id,label,f0,f1\n"
-
-    def load(self, tmp_path, text):
-        path = tmp_path / "clients.csv"
-        path.write_text(text)
-        return path
-
-    def test_empty_file(self, tmp_path):
-        path = self.load(tmp_path, "")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 1: missing header"):
-            load_clients_csv(path)
-
-    def test_data_without_header(self, tmp_path):
-        path = self.load(tmp_path, "0,1,0.5,0.25\n")
-        with pytest.raises(ValueError, match="line 1: missing header"):
-            load_clients_csv(path)
-
-    @pytest.mark.parametrize("row", ["0,1,0.5", "0,1,0.5,0.25,0.125"])
-    def test_field_count(self, tmp_path, row):
-        path = self.load(tmp_path, self.HEADER + "0,1,0.5,0.25\n" + row + "\n")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 3: \d fields, header has 4"):
-            load_clients_csv(path)
-
-    @pytest.mark.parametrize("row", ["a,1,0.5,0.25", "0,x,0.5,0.25", "0,1.5,0.5,0.25"])
-    def test_non_integer_id_or_label(self, tmp_path, row):
-        path = self.load(tmp_path, self.HEADER + row + "\n")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: client_id and label"):
-            load_clients_csv(path)
-
-    def test_non_numeric_feature(self, tmp_path):
-        path = self.load(tmp_path, self.HEADER + "0,1,0.5,abc\n")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: non-numeric feature"):
-            load_clients_csv(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_feature(self, tmp_path, value):
-        path = self.load(tmp_path, self.HEADER + f"0,1,{value},0.25\n")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: non-finite feature"):
-            load_clients_csv(path)

@@ -100,7 +100,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 2**32), ("rounds", 10**400), ("num_experts", 2**32),
-        ("batch_size", 2**40),
+        ("batch_size", 2**40), ("num_clients", 8 * 200 + 1),
     ])
     def test_rejects_integers_out_of_range(self, field, value):
         errors = ExperimentConfig(**{field: value}).validate()
@@ -112,6 +112,9 @@ class TestConfigValidation:
 
     def test_accepts_integers_for_floats(self):
         assert ExperimentConfig(lr=1, fixed_tau=0, ablations=("fixed_threshold",)).validate() == []
+
+    def test_accepts_one_client_per_sample(self):
+        assert ExperimentConfig(num_clients=8 * 200).validate() == []
 
     def test_ablations_must_be_a_tuple(self):
         assert any("ablations" in e for e in ExperimentConfig(ablations="uniform_gamma").validate())
@@ -190,7 +193,7 @@ class TestRoundLoop:
         res = C.local_round(
             mcfg, init, shards[0], ctx, epochs=cfg.local_epochs, lr=cfg.lr,
             rng=child_rng(cfg.seed, "client", 0, "round", 1),
-            batch_size=cfg.batch_size, overlap=np.full(s, 1 / s) * np.full(s, 1 / s),
+            batch_size=cfg.batch_size,
         )
         # Lone client: every expert update and every shared block equals the
         # client's own delta (self-consensus), so final = init + delta.
@@ -309,7 +312,6 @@ class TestCli:
         assert err["error"] == "invalid-config"
         assert any("60 clients" in d and "100 draws" in d for d in err["details"])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exit_3(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         # The first SGD step sends the parameters to ~1e299; the next
@@ -378,6 +380,7 @@ class TestCliConfigFuzz:
         ('{"ablations": 5}', "ablations"),
         (f'{{"rounds": {10**400}}}', "rounds"),
         ('{"seed": 4294967296}', "seed"),
+        ('{"num_clients": 1601}', "1600 training samples"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, fragment):
         cfg_file = tmp_path / "cfg.json"

@@ -7,12 +7,17 @@ aggregate from the start parameters and updates that `local_round` sees.
 A rename under `src/`, or an aggregation that writes the global model in
 place, would otherwise break `perfbench/run.py --trace 1` only when the
 benchmark runs; here it fails the suite. Both modules are loaded from their
-files and only read.
+files and only read, and `perfbench/selftest.py` runs unchanged in its own
+process, so a change that blinds one of the benchmark's checks fails here
+too.
 """
 
 import importlib
 import importlib.util
 import inspect
+import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -79,3 +84,15 @@ def test_traced_run_passes_aggregation_check(tracing, checks, method):
     agg.finish(result.final_params)
     assert agg.rounds_checked == cfg.rounds
     assert tracer.calls["client.local_round"] == cfg.rounds * cfg.num_clients
+
+
+def test_selftest_catches_every_corruption():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    caught = re.fullmatch(r"(\d+)/(\d+) corruptions caught.*", last)
+    assert caught, last
+    assert caught[1] == caught[2] and int(caught[2]) >= 21, last

@@ -25,7 +25,7 @@ from fedalign.server import (
 )
 
 
-def make_stats(p_bar, margin, mu=None, mu_empty=None, size=10):
+def make_stats(p_bar, margin, mu=None, mu_empty=None):
     p_bar = np.asarray(p_bar, dtype=np.float64)
     s = p_bar.size
     if mu is None:
@@ -34,11 +34,9 @@ def make_stats(p_bar, margin, mu=None, mu_empty=None, size=10):
         mu_empty = np.zeros(s, dtype=bool)
     return RoutingStats(
         p_bar=p_bar,
-        overlap=np.zeros(s),
         margin=np.asarray(margin, dtype=np.float64),
         mu=np.asarray(mu, dtype=np.float64),
         mu_empty=np.asarray(mu_empty, dtype=bool),
-        dataset_size=size,
     )
 
 
