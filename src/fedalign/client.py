@@ -36,17 +36,12 @@ class RegContext:
 
 
 @dataclass
-class RoutingStats:
+class LocalRoundResult:
+    param_delta: M.ModelParams  # new - start for every block: the client update
     p_bar: np.ndarray  # (S,) mean top-k routing mass
     margin: np.ndarray  # (S,) mean top-1 decision margin
     mu: np.ndarray  # (S, hidden_dim) mean hidden state per argmax expert
     mu_empty: np.ndarray  # (S,) bool, True where no sample argmaxed to e
-
-
-@dataclass
-class LocalRoundResult:
-    param_delta: M.ModelParams  # new - start for every block: the client update
-    stats: RoutingStats
     mean_local_loss: float
     mean_reg_loss: float
 
@@ -117,8 +112,8 @@ def local_round(
     prox_mu: float = 0.0,
     prox_ref: M.ModelParams | None = None,
 ) -> LocalRoundResult:
-    """Run E epochs of mini-batch SGD on L_total, then compute RoutingStats
-    in one evaluation pass with the final parameters.
+    """Run E epochs of mini-batch SGD on L_total, then compute the routing
+    statistics in one evaluation pass with the final parameters.
 
     prox_mu > 0 adds the proximal penalty toward prox_ref to every block's
     gradient (FedProx client). lr may be 0, which degenerates to a pure
@@ -150,19 +145,15 @@ def local_round(
     trace, mean_local = M.forward(config, params, shard.features, shard.labels)
     mean_reg = reg_loss(trace, ctx, config.top_k)
     mu, empty = compute_mu(trace)
-    stats = RoutingStats(
-        p_bar=compute_p_bar(trace),
-        margin=compute_margin(trace),
-        mu=mu,
-        mu_empty=empty,
-    )
-
     param_delta = M.ModelParams(
         *(getattr(params, b) - getattr(params_in, b) for b in M.ModelParams.BLOCKS)
     )
     return LocalRoundResult(
         param_delta=param_delta,
-        stats=stats,
+        p_bar=compute_p_bar(trace),
+        margin=compute_margin(trace),
+        mu=mu,
+        mu_empty=empty,
         mean_local_loss=mean_local,
         mean_reg_loss=mean_reg,
     )

@@ -36,7 +36,6 @@ class SyntheticTask:
 
 @dataclass
 class ClientDataset:
-    client_id: int
     features: np.ndarray  # (n, input_dim)
     labels: np.ndarray  # (n,) int
 
@@ -44,7 +43,7 @@ class ClientDataset:
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features/labels length mismatch")
         if self.size < 1:
-            raise ValueError(f"client {self.client_id} has an empty shard")
+            raise ValueError("empty shard")
 
     @property
     def size(self) -> int:
@@ -94,22 +93,17 @@ def dirichlet_partition(
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     classes = np.unique(labels)
+    clients = np.arange(num_clients)
     for _ in range(PARTITION_DRAWS):
-        assignment = [[] for _ in range(num_clients)]
+        owner = np.empty(labels.size, dtype=np.intp)  # client index of each sample
         for c in classes:
             idx = np.nonzero(labels == c)[0]
             idx = idx[rng.permutation(idx.size)]
             props = rng.dirichlet(np.full(num_clients, concentration))
             cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
-            for client, chunk in enumerate(np.split(idx, cuts)):
-                assignment[client].append(chunk)
-        sizes = [sum(ch.size for ch in chunks) for chunks in assignment]
-        if min(sizes) >= 1:
-            shards = []
-            for client, chunks in enumerate(assignment):
-                idx = np.sort(np.concatenate(chunks))
-                shards.append(ClientDataset(client, features[idx], labels[idx].copy()))
-            return shards
+            owner[idx] = np.repeat(clients, np.diff(cuts, prepend=0, append=idx.size))
+        if np.bincount(owner, minlength=num_clients).min() >= 1:
+            return [ClientDataset(features[m], labels[m]) for m in (owner == i for i in clients)]
     raise ValueError(
         f"dirichlet_partition: {num_clients} clients at dirichlet_alpha={concentration} "
         f"left a client empty in each of {PARTITION_DRAWS} draws; raise the alpha or lower "

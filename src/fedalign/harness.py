@@ -220,6 +220,19 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
+def shard_routing(
+    config: M.MoEConfig, client_params, shards: list[ClientDataset]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each shard under its client's model `client_params(i)`: the mean
+    top-k routing mass (N, S) and the argmax-correct fraction (N,)."""
+    p_bar, acc = np.empty((len(shards), config.num_experts)), np.empty(len(shards))
+    for i, shard in enumerate(shards):
+        trace, _ = M.forward(config, client_params(i), shard.features)
+        p_bar[i] = C.compute_p_bar(trace)
+        acc[i] = (np.argmax(trace.logits, axis=1) == shard.labels).mean()
+    return p_bar, acc
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     errors = cfg.validate()
     if errors:
@@ -227,18 +240,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     mcfg = cfg.model_config()
     s, n = cfg.num_experts, cfg.num_clients
 
-    task = make_default_task(
-        cfg.num_classes,
-        cfg.input_dim,
-        cfg.samples_per_class,
-        cfg.noise_std,
-        child_rng(cfg.seed, "task"),
-        mean_scale=cfg.mean_scale,
-    )
-    train_x, train_y = generate(task, child_rng(cfg.seed, "data"))
-    test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
-    test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
-    try:
+    try:  # an unlearnable task or an impossible partition is a config error
+        task = make_default_task(
+            cfg.num_classes,
+            cfg.input_dim,
+            cfg.samples_per_class,
+            cfg.noise_std,
+            child_rng(cfg.seed, "task"),
+            mean_scale=cfg.mean_scale,
+        )
+        train_x, train_y = generate(task, child_rng(cfg.seed, "data"))
+        test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
+        test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
         shards = dirichlet_partition(
             train_x, train_y, n, cfg.dirichlet_alpha, child_rng(cfg.seed, "partition")
         )
@@ -251,7 +264,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     # Client i's own gate, used in place of the global one under
     # no_gating_broadcast. Entries are rebound, never written in place.
     local_gates = [global_params.gate] * n
-    no_broadcast = cfg.ablated("no_gating_broadcast")
+
+    def client_start(i: int) -> M.ModelParams:  # client i's model, in training and metrics
+        if cfg.ablated("no_gating_broadcast"):
+            return replace(global_params, gate=local_gates[i])
+        return global_params
+
     # The round's client updates, one leading client axis per block; row i
     # is refilled as client i's round returns.
     deltas = M.ModelParams(
@@ -267,23 +285,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     # Pre-aggregation reference level: per-shard routing spread of the
     # initial model, before any training or aggregation has happened.
-    init_p_bar = np.stack(
-        [C.compute_p_bar(M.forward(mcfg, global_params, sh.features)[0]) for sh in shards]
-    )
+    init_p_bar, _ = shard_routing(mcfg, client_start, shards)
     initial_disagreement = float(total_variation(init_p_bar, init_p_bar.mean(axis=0)).mean())
 
     for t in range(1, cfg.rounds + 1):
         p_bar, margin = np.empty((n, s)), np.empty((n, s))
         mu, mu_empty = np.empty((s, n, cfg.hidden_dim)), np.empty((s, n), dtype=bool)
         local_loss, reg_loss = np.empty(n), np.empty(n)
+        if is_align and not cfg.ablated("no_adaptive_alpha"):
+            alpha = C.compute_alpha(prev_p_bar * prev_mean, cfg.eta)
+        else:
+            alpha = np.ones((n, s))
         for i, shard in enumerate(shards):
-            start = replace(global_params, gate=local_gates[i]) if no_broadcast else global_params
-            overlap = prev_p_bar[i] * prev_mean
-            if is_align and not cfg.ablated("no_adaptive_alpha"):
-                alpha = C.compute_alpha(overlap, cfg.eta)
-            else:
-                alpha = np.ones(s)
-            ctx = C.RegContext(p_g=p_g, lam=cfg.lam if is_align else 0.0, alpha=alpha)
+            start = client_start(i)
+            ctx = C.RegContext(p_g=p_g, lam=cfg.lam if is_align else 0.0, alpha=alpha[i])
             try:
                 res = C.local_round(
                     mcfg,
@@ -301,9 +316,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
             for b in M.ModelParams.BLOCKS:
                 getattr(deltas, b)[i] = getattr(res.param_delta, b)
-            st = res.stats
-            p_bar[i], margin[i], mu[:, i], mu_empty[:, i] = st.p_bar, st.margin, st.mu, st.mu_empty
-            local_loss[i], reg_loss[i] = res.mean_local_loss, res.mean_reg_loss
+            p_bar[i], margin[i], local_loss[i] = res.p_bar, res.margin, res.mean_local_loss
+            mu[:, i], mu_empty[:, i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
             local_gates[i] = start.gate + res.param_delta.gate
 
         mean_p = p_bar.mean(axis=0)
@@ -331,13 +345,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
         global_params = S.aggregate_experts(global_params, deltas, w_experts, updated, size_w)
 
-        # Metrics.
-        post_p_bar, local_accs = np.empty((n, s)), np.empty(n)
-        for i, shard in enumerate(shards):
-            params = replace(global_params, gate=local_gates[i]) if no_broadcast else global_params
-            trace, _ = M.forward(mcfg, params, shard.features)
-            post_p_bar[i] = C.compute_p_bar(trace)
-            local_accs[i] = (np.argmax(trace.logits, axis=1) == shard.labels).mean()
+        post_p_bar, local_accs = shard_routing(mcfg, client_start, shards)
         records.append(
             RoundRecord(
                 round_index=t,
@@ -377,17 +385,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     return result
 
 
-def emit_metrics(records: list[RoundRecord], out_dir, initial_disagreement=None):
-    """metrics.jsonl (schema header + one record per line) and summary.csv."""
+def write_outputs(result: ExperimentResult, out_dir):
+    """metrics.jsonl (schema header, one record per line), summary.csv,
+    aggregation.jsonl (one report per round) and final.ckpt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jsonl = out / "metrics.jsonl"
-    header = {"schema": METRICS_SCHEMA}
-    if initial_disagreement is not None:
-        header["initial_disagreement"] = initial_disagreement
-    with open(jsonl, "w", newline="\n") as fh:
+    header = {"schema": METRICS_SCHEMA, "initial_disagreement": result.initial_disagreement}
+    with open(out / "metrics.jsonl", "w", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in records:
+        for rec in result.records:
             fh.write(rec.to_json() + "\n")
     fields = [
         "round_index",
@@ -403,16 +409,9 @@ def emit_metrics(records: list[RoundRecord], out_dir, initial_disagreement=None)
     with open(out / "summary.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        for rec in records:
+        for rec in result.records:
             row = asdict(rec)
             writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
-    return jsonl
-
-
-def write_outputs(result: ExperimentResult, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_metrics(result.records, out, result.initial_disagreement)
     with open(out / "aggregation.jsonl", "w", newline="\n") as fh:
         for rep in result.reports:
             fh.write(rep.to_json_record() + "\n")

@@ -1,8 +1,10 @@
 """Test tools: builders for client updates (a `ModelParams` of deltas made
-from per-expert rows, and the model a delta leads to), the stacked arrays
-the server takes from per-client uploads, row scales around NORM_FLOOR for
-property tests, and the central finite-difference gradient checker."""
+from per-expert rows, and the model a delta leads to), a container for one
+client's routing statistics and the stacked arrays the server takes from
+per-client uploads, row scales around NORM_FLOOR for property tests, and the
+central finite-difference gradient checker."""
 
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,10 +46,15 @@ def expert_delta(rows, like=None):
     return out
 
 
+# One client's routing statistics, with the fields `client.LocalRoundResult`
+# reports them under: p_bar and margin (S,), mu (S, H), mu_empty (S,) bool.
+Stats = namedtuple("Stats", "p_bar margin mu mu_empty")
+
+
 def stack_uploads(stats, deltas=()):
     """Per-client uploads as the server takes them, on one client axis.
 
-    From the `RoutingStats`: p_bar and margin (N, S), mu (S, N, H) and
+    From the `Stats`: p_bar and margin (N, S), mu (S, N, H) and
     mu_empty (S, N). From the update `ModelParams`: deltas, one `ModelParams`
     whose blocks lead with N. An empty list leaves its side None.
     """

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import expert_delta, grad_check, stack_uploads
+from helpers import Stats, expert_delta, grad_check, stack_uploads
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -128,8 +128,8 @@ def test_criterion_2_formula_oracles(report):
                       - oracles.SIGMOID_LN3) < 1e-9)
 
     def stats(p_bar, margin):
-        return C.RoutingStats(np.asarray(p_bar, float), np.asarray(margin, float),
-                              np.ones((2, 2)), np.zeros(2, bool))
+        return Stats(np.asarray(p_bar, float), np.asarray(margin, float),
+                     np.ones((2, 2)), np.zeros(2, bool))
 
     up = stack_uploads([stats([0.6, 0.4], [0.3, 0.1]), stats([0.2, 0.8], [0.1, 0.1])])
     omega = S.consistency_weights(up.p_bar, up.margin)
@@ -193,7 +193,7 @@ def test_criterion_4_homogeneity_fixed_point(report):
         mu = rng.normal(size=(s, 3))
         d = rng.normal(size=(s, p))
         stats = [
-            C.RoutingStats(p_bar.copy(), margin.copy(), mu.copy(), np.zeros(s, bool))
+            Stats(p_bar.copy(), margin.copy(), mu.copy(), np.zeros(s, bool))
             for _ in range(n)
         ]
         deltas = [expert_delta(d) for _ in range(n)]
@@ -222,8 +222,8 @@ def test_criterion_5_permutation_equivariance(report):
     n, s, p = 6, 4, 9
 
     def draw_stats():
-        st = C.RoutingStats(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s),
-                            rng.normal(size=(s, 3)), np.zeros(s, bool))
+        st = Stats(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s),
+                   rng.normal(size=(s, 3)), np.zeros(s, bool))
         rng.integers(5, 20)  # drawn and dropped, so every later draw keeps its value
         return st
 

@@ -34,7 +34,7 @@ def make_setup(seed=0, n=32, s=3, k=1, classes=3):
     params = init_params(config, rng)
     x = rng.normal(size=(n, config.input_dim))
     y = rng.integers(0, classes, size=n)
-    shard = ClientDataset(0, x, y)
+    shard = ClientDataset(x, y)
     ctx = RegContext(p_g=np.full(s, 1.0 / s), lam=0.1, alpha=np.ones(s))
     return config, params, shard, ctx
 
@@ -196,8 +196,8 @@ class TestLocalRound:
         for b in ModelParams.BLOCKS:
             assert np.array_equal(getattr(new, b), getattr(params, b))
         trace, _ = forward(config, params, shard.features, shard.labels)
-        np.testing.assert_allclose(res.stats.p_bar, compute_p_bar(trace), atol=1e-12)
-        np.testing.assert_allclose(res.stats.margin, compute_margin(trace), atol=1e-12)
+        np.testing.assert_allclose(res.p_bar, compute_p_bar(trace), atol=1e-12)
+        np.testing.assert_allclose(res.margin, compute_margin(trace), atol=1e-12)
 
     def test_lambda_zero_equals_alpha_zero(self):
         # The regularizer disappears both when lam=0 and when every alpha is
@@ -222,7 +222,7 @@ class TestLocalRound:
         labels = np.repeat([0, 1], n // 2)
         means = np.array([[-2.0, 0.0], [2.0, 0.0]])
         x = means[labels] + rng.normal(0.0, 0.3, size=(n, 2))
-        shard = ClientDataset(0, x, labels)
+        shard = ClientDataset(x, labels)
         ctx = RegContext(np.array([0.5, 0.5]), 0.0, np.ones(2))
         params = init_params(config, rng)
         res = local_round(config, params, shard, ctx, epochs=20, lr=0.2,
@@ -234,13 +234,13 @@ class TestLocalRound:
     def test_stats_invariant_to_sample_order(self):
         config, params, shard, ctx = make_setup(n=20)
         perm = np.random.default_rng(3).permutation(shard.size)
-        shuffled = ClientDataset(0, shard.features[perm], shard.labels[perm])
+        shuffled = ClientDataset(shard.features[perm], shard.labels[perm])
         a = local_round(config, params, shard, ctx, 1, 0.0, np.random.default_rng(0))
         b = local_round(config, params, shuffled, ctx, 1, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(a.stats.p_bar, b.stats.p_bar, atol=1e-12)
-        np.testing.assert_allclose(a.stats.margin, b.stats.margin, atol=1e-12)
-        np.testing.assert_allclose(a.stats.mu, b.stats.mu, atol=1e-12)
-        assert np.array_equal(a.stats.mu_empty, b.stats.mu_empty)
+        np.testing.assert_allclose(a.p_bar, b.p_bar, atol=1e-12)
+        np.testing.assert_allclose(a.margin, b.margin, atol=1e-12)
+        np.testing.assert_allclose(a.mu, b.mu, atol=1e-12)
+        assert np.array_equal(a.mu_empty, b.mu_empty)
 
     def test_never_activated_expert_quadruple(self):
         # Positive inputs and a positive embed keep the hidden state strictly
@@ -249,13 +249,13 @@ class TestLocalRound:
         # it back into the top-1 set.
         config, params, shard, ctx = make_setup(s=3, k=1)
         params.embed = np.abs(params.embed)
-        shard = ClientDataset(0, np.abs(shard.features) + 0.1, shard.labels)
+        shard = ClientDataset(np.abs(shard.features) + 0.1, shard.labels)
         params.gate[:, 2] = -100.0
         res = local_round(config, params, shard, ctx, epochs=1, lr=0.01,
                           rng=np.random.default_rng(0))
-        assert res.stats.p_bar[2] == 0.0
-        assert res.stats.margin[2] == 0.0
-        assert res.stats.mu_empty[2]
+        assert res.p_bar[2] == 0.0
+        assert res.margin[2] == 0.0
+        assert res.mu_empty[2]
         assert np.all(expert_rows(res.param_delta)[2] == 0.0)
 
     def test_loss_linear_in_lambda(self):
@@ -279,7 +279,7 @@ class TestLocalRound:
         tv0 = 0.5 * np.abs(compute_p_bar(before) - p_g).sum()
         res = local_round(config, params, shard, strong, epochs=1, lr=0.05,
                           rng=np.random.default_rng(0), batch_size=shard.size)
-        tv1 = 0.5 * np.abs(res.stats.p_bar - p_g).sum()
+        tv1 = 0.5 * np.abs(res.p_bar - p_g).sum()
         assert tv1 <= tv0 + 1e-12
 
     def test_negative_lr_rejected(self):

@@ -119,4 +119,4 @@ class TestPartition:
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
-            ClientDataset(0, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+            ClientDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))

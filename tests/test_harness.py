@@ -27,10 +27,11 @@ from fedalign.harness import (
     ABLATION_FLAGS,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
     child_rng,
-    emit_metrics,
     evaluate,
     run_experiment,
+    write_outputs,
 )
 
 TINY = dict(
@@ -155,7 +156,7 @@ class TestEvaluate:
         from fedalign.client import RegContext, local_round
         from fedalign.data import ClientDataset
 
-        shard = ClientDataset(0, x, y)
+        shard = ClientDataset(x, y)
         ctx = RegContext(np.full(3, 1 / 3), 0.0, np.ones(3))
         res = local_round(mcfg, params, shard, ctx, epochs=20, lr=0.2,
                           rng=np.random.default_rng(0))
@@ -224,7 +225,9 @@ class TestRoundLoop:
 
 class TestEmitMetrics:
     def test_empty_records_header_only(self, tmp_path):
-        emit_metrics([], tmp_path)
+        cfg = tiny_config()
+        params = M.init_params(cfg.model_config(), np.random.default_rng(0))
+        write_outputs(ExperimentResult(cfg, [], params, []), tmp_path)
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["schema"].startswith("fedalign-metrics/")
@@ -234,7 +237,7 @@ class TestEmitMetrics:
     def test_line_count(self, tmp_path):
         cfg = tiny_config(rounds=4)
         result = run_experiment(cfg)
-        emit_metrics(result.records, tmp_path, result.initial_disagreement)
+        write_outputs(result, tmp_path)
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 5
         header = json.loads(lines[0])
@@ -243,8 +246,8 @@ class TestEmitMetrics:
     def test_reemit_identical(self, tmp_path):
         cfg = tiny_config(rounds=2)
         result = run_experiment(cfg)
-        emit_metrics(result.records, tmp_path / "a")
-        emit_metrics(result.records, tmp_path / "b")
+        write_outputs(result, tmp_path / "a")
+        write_outputs(result, tmp_path / "b")
         assert (tmp_path / "a/metrics.jsonl").read_bytes() == \
             (tmp_path / "b/metrics.jsonl").read_bytes()
         assert (tmp_path / "a/summary.csv").read_bytes() == \
@@ -381,6 +384,7 @@ class TestCliConfigFuzz:
         (f'{{"rounds": {10**400}}}', "rounds"),
         ('{"seed": 4294967296}', "seed"),
         ('{"num_clients": 1601}', "1600 training samples"),
+        ('{"mean_scale": 1e-12, "rounds": 1}', "coincide"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, fragment):
         cfg_file = tmp_path / "cfg.json"

@@ -4,9 +4,10 @@
 `backward`'s two spans apart by its fourth positional argument, `lam`; its
 `AggregationCheck` in `perfbench/checks.py` recomputes each round's
 aggregate from the start parameters and updates that `local_round` sees.
-A rename under `src/`, or an aggregation that writes the global model in
-place, would otherwise break `perfbench/run.py --trace 1` only when the
-benchmark runs; here it fails the suite. Both modules are loaded from their
+A rename under `src/`, an aggregation that writes the global model in
+place, or a round loop that hides its metrics calls from the tracer would
+otherwise break `perfbench/run.py --trace 1` only when the benchmark runs;
+here it fails the suite. Both modules are loaded from their
 files and only read, and `perfbench/selftest.py` runs unchanged in its own
 process, so a change that blinds one of the benchmark's checks fails here
 too.
@@ -84,6 +85,13 @@ def test_traced_run_passes_aggregation_check(tracing, checks, method):
     agg.finish(result.final_params)
     assert agg.rounds_checked == cfg.rounds
     assert tracer.calls["client.local_round"] == cfg.rounds * cfg.num_clients
+    # The tracer names a forward called directly by run_experiment a metrics
+    # forward and sums only such direct calls into the phases, so a patched
+    # helper or a moved metrics call shows here.
+    assert tracer.calls["harness.metrics_forward"] == cfg.num_clients * (cfg.rounds + 1)
+    assert tracer.calls["harness.evaluate"] == cfg.rounds
+    spans = tracer.metrics()
+    assert all(spans[f"phase.{phase}.s"] > 0 for phase in tracing.PHASE_NAMES), spans
 
 
 def test_selftest_catches_every_corruption():

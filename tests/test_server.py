@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import NORM_SCALES, expert_delta, stack_uploads
-from fedalign.client import RoutingStats
+from helpers import NORM_SCALES, Stats, expert_delta, stack_uploads
 from fedalign.model import MoEConfig, expert_rows, init_params
 from fedalign.server import (
     adaptive_threshold,
@@ -32,7 +31,7 @@ def make_stats(p_bar, margin, mu=None, mu_empty=None):
         mu = np.ones((s, 2))
     if mu_empty is None:
         mu_empty = np.zeros(s, dtype=bool)
-    return RoutingStats(
+    return Stats(
         p_bar=p_bar,
         margin=np.asarray(margin, dtype=np.float64),
         mu=np.asarray(mu, dtype=np.float64),
