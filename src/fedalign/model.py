@@ -190,7 +190,7 @@ def forward(
         c = params.head.shape[1]
         if lab.min() < 0 or lab.max() >= c:
             raise ValueError("labels outside [0, num_classes)")
-        logp = logits - _logsumexp(logits)
+        logp = _log_softmax(logits)
         loss = float(-logp[np.arange(lab.size), lab].mean())
 
     trace = ForwardTrace(
@@ -209,9 +209,25 @@ def forward(
     return trace, loss
 
 
-def _logsumexp(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax. The row's largest term, exp(0) = 1, is left out
+    of the sum and added back through log1p, so the log-probabilities of a
+    confident row keep their precision instead of rounding to ulps of 1."""
+    top = logits.argmax(axis=1)[:, None]
+    shifted = logits - np.take_along_axis(logits, top, axis=1)
+    rest = np.exp(shifted)
+    np.put_along_axis(rest, top, 0.0, axis=1)
+    return shifted - np.log1p(rest.sum(axis=1, keepdims=True))
+
+
+def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Row-wise `p * (dp - sum(p * dp))`, the gradient through p = softmax.
+
+    dp is first shifted by its value at the row's largest weight, which
+    leaves the result unchanged since each row of p sums to 1. Unshifted, a
+    near one-hot row subtracts two nearly equal numbers."""
+    d = dp - np.take_along_axis(dp, p.argmax(axis=1)[:, None], axis=1)
+    return p * (d - (p * d).sum(axis=1, keepdims=True))
 
 
 def masked_kl(
@@ -302,7 +318,7 @@ def backward(
 
     # Through the top-k restricted softmax (selection set held fixed); tp is
     # zero off the top-k, so dg is too.
-    dg = tp * (dtp - (tp * dtp).sum(axis=1, keepdims=True))
+    dg = _softmax_backward(tp, dtp)
 
     # KL regularizer through the full softmax (batch mean).
     if lam > 0.0 and reg_ctx is not None:
@@ -310,8 +326,7 @@ def backward(
             trace.full_probs, reg_ctx.p_g, reg_ctx.alpha, config.top_k, want_grad=True
         )
         dfp *= lam / b
-        fp = trace.full_probs
-        dg += fp * (dfp - (fp * dfp).sum(axis=1, keepdims=True))
+        dg += _softmax_backward(trace.full_probs, dfp)
 
     dh += dg @ params.gate.T
     return ModelParams(

@@ -258,8 +258,13 @@ def sparse_forward(params, x, k, labels=None):
     logits = r @ params.head
     loss = None
     if labels is not None:
-        m = logits.max(axis=1, keepdims=True)
-        logp = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+        # The row's largest term goes back in through log1p, which keeps a
+        # confident row's log-probabilities accurate.
+        top = np.argmax(logits, axis=1)
+        shifted = logits - logits[np.arange(b), top][:, None]
+        rest = np.exp(shifted)
+        rest[np.arange(b), top] = 0.0
+        logp = shifted - np.log1p(rest.sum(axis=1, keepdims=True))
         loss = float(-logp[np.arange(b), labels].mean())
     return dict(x=x, h=h, fp=fp, topk_idx=topk_idx, tp=tp, r=r, logits=logits,
                 cache=cache, loss=loss)
@@ -295,15 +300,20 @@ def sparse_backward(fwd, params, labels, k, lam=0.0, p_g=None, alpha=None):
         grads["expert_b1"][e] = da.sum(axis=0)
         dh[sel] += da @ params.expert_w1[e].T
 
+    def softmax_backward(p, dp):
+        # dp shifted by its value at the row's largest weight; unshifted, a
+        # near one-hot row cancels in the subtraction.
+        d = dp - dp[np.arange(b), np.argmax(p, axis=1)][:, None]
+        return p * (d - (p * d).sum(axis=1, keepdims=True))
+
     idx = (np.arange(b)[:, None], fwd["topk_idx"])
-    t, dt = tp[idx], dtp[idx]
     dg = np.zeros_like(tp)
-    np.add.at(dg, idx, t * (dt - (t * dt).sum(axis=1, keepdims=True)))
+    np.add.at(dg, idx, softmax_backward(tp[idx], dtp[idx]))
     if lam > 0.0:
         fp = fwd["fp"]
         dfp = np.stack([masked_kl_row(row, p_g, alpha, k, want_grad=True)[1] for row in fp])
         dfp *= lam / b
-        dg += fp * (dfp - (fp * dfp).sum(axis=1, keepdims=True))
+        dg += softmax_backward(fp, dfp)
     grads["gate"] = fwd["h"].T @ dg
     dh += dg @ params.gate.T
     grads["embed"] = fwd["x"].T @ dh
