@@ -250,13 +250,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             mean_scale=cfg.mean_scale,
         )
         train_x, train_y = generate(task, child_rng(cfg.seed, "data"))
-        test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
-        test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
         shards = dirichlet_partition(
             train_x, train_y, n, cfg.dirichlet_alpha, child_rng(cfg.seed, "partition")
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
+    test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
+    test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
     sizes = np.array([shard.size for shard in shards], dtype=np.float64)
     size_w = sizes / sizes.sum()
 

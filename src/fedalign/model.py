@@ -211,12 +211,12 @@ def forward(
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax. The row's largest term, exp(0) = 1, is left out
-    of the sum and added back through log1p, so the log-probabilities of a
-    confident row keep their precision instead of rounding to ulps of 1."""
-    top = logits.argmax(axis=1)[:, None]
-    shifted = logits - np.take_along_axis(logits, top, axis=1)
+    of the sum and added back through log1p, so a confident row's small
+    log-probabilities are not rounded to an ulp of its largest logit."""
+    rows, top = np.arange(logits.shape[0]), logits.argmax(axis=1)
+    shifted = logits - logits[rows, top][:, None]
     rest = np.exp(shifted)
-    np.put_along_axis(rest, top, 0.0, axis=1)
+    rest[rows, top] = 0.0
     return shifted - np.log1p(rest.sum(axis=1, keepdims=True))
 
 
@@ -226,7 +226,7 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     dp is first shifted by its value at the row's largest weight, which
     leaves the result unchanged since each row of p sums to 1. Unshifted, a
     near one-hot row subtracts two nearly equal numbers."""
-    d = dp - np.take_along_axis(dp, p.argmax(axis=1)[:, None], axis=1)
+    d = dp - dp[np.arange(p.shape[0]), p.argmax(axis=1)][:, None]
     return p * (d - (p * d).sum(axis=1, keepdims=True))
 
 
