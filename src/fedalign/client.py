@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .baselines import prox_term
 from .data import ClientDataset
 from .numeric import sigmoid
 
@@ -31,7 +30,8 @@ class RegContext:
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if np.any(self.p_g < 0) or abs(self.p_g.sum() - 1.0) > 1e-9:
+        p_g = self.p_g
+        if not np.isfinite(p_g).all() or np.any(p_g < 0) or abs(p_g.sum() - 1.0) > 1e-9:
             raise ValueError("p_g must be a distribution")
 
 
@@ -115,39 +115,39 @@ def local_round(
     """Run E epochs of mini-batch SGD on L_total, then compute the routing
     statistics in one evaluation pass with the final parameters.
 
-    prox_mu > 0 adds the proximal penalty toward prox_ref to every block's
-    gradient (FedProx client). lr may be 0, which degenerates to a pure
-    evaluation pass with zero deltas.
+    prox_mu > 0 adds the FedProx proximal gradient prox_mu * (theta -
+    prox_ref) to the gradient (FedProx client). lr may be 0, which
+    degenerates to a pure evaluation pass with zero deltas.
+
+    Each epoch gathers the shard in its permuted order once and slices the
+    mini-batches from it. The update is one operation on the parameters'
+    flat buffer.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
     params = params_in.copy()
+    theta = params.flat
 
     n = shard.size
     for _epoch in range(epochs):
         order = rng.permutation(n)
+        features, labels = shard.features[order], shard.labels[order]
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            trace, loss = M.forward(config, params, shard.features[idx], shard.labels[idx])
+            stop = start + batch_size
+            trace, loss = M.forward(config, params, features[start:stop], labels[start:stop])
             if loss is None or not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss, aborting round")
-            grads = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx)
+            grad = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx).flat
             if prox_mu > 0.0 and prox_ref is not None:
-                prox = prox_term(params, prox_ref, prox_mu)[1]
-                grads = M.ModelParams(
-                    *(getattr(grads, b) + getattr(prox, b) for b in M.ModelParams.BLOCKS)
-                )
-            for b in M.ModelParams.BLOCKS:
-                getattr(params, b)[...] -= lr * getattr(grads, b)
+                grad += prox_mu * (theta - prox_ref.flat)
+            theta -= lr * grad
             params.check_finite()
 
     # Statistics reflect the final model: one pass over the whole shard.
     trace, mean_local = M.forward(config, params, shard.features, shard.labels)
     mean_reg = reg_loss(trace, ctx, config.top_k)
     mu, empty = compute_mu(trace)
-    param_delta = M.ModelParams(
-        *(getattr(params, b) - getattr(params_in, b) for b in M.ModelParams.BLOCKS)
-    )
+    param_delta = M.ModelParams.from_flat(theta - params_in.flat, params.shapes)
     return LocalRoundResult(
         param_delta=param_delta,
         p_bar=compute_p_bar(trace),

@@ -270,11 +270,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             return replace(global_params, gate=local_gates[i])
         return global_params
 
-    # The round's client updates, one leading client axis per block; row i
-    # is refilled as client i's round returns.
-    deltas = M.ModelParams(
-        *(np.empty((n,) + getattr(global_params, b).shape) for b in M.ModelParams.BLOCKS)
-    )
+    # The round's client updates: row i of the (N, P) buffer is client i's
+    # flat update, refilled as its round returns; each block leads with N.
+    deltas = M.ModelParams.from_flat(np.empty((n, global_params.flat.size)), global_params.shapes)
     p_g = np.full(s, 1.0 / s)
     prev_mean = np.full(s, 1.0 / s)
     prev_p_bar = np.full((n, s), 1.0 / s)
@@ -314,8 +312,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 )
             except FloatingPointError as exc:
                 raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
-            for b in M.ModelParams.BLOCKS:
-                getattr(deltas, b)[i] = getattr(res.param_delta, b)
+            deltas.flat[i] = res.param_delta.flat
             p_bar[i], margin[i], local_loss[i] = res.p_bar, res.margin, res.mean_local_loss
             mu[:, i], mu_empty[:, i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
             local_gates[i] = start.gate + res.param_delta.gate

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import EPS, kl_term, softmax
+from .numeric import EPS
 
 CKPT_MAGIC = b"FMOE"
 CKPT_VERSION = 1
@@ -52,7 +52,16 @@ class MoEConfig:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors. Experts are stacked along the leading axis."""
+    """All trainable tensors. Experts are stacked along the leading axis.
+
+    The seven blocks are views of one float64 buffer `flat`, in BLOCKS
+    order, which is also the checkpoint's byte order; an update, a copy or
+    a finiteness check is one array operation on it. Assigning a block
+    copies the value into its view, so the blocks never leave the buffer.
+    `shapes` holds each block's shape without the buffer's leading axes:
+    `from_flat` can lay the blocks over an (N, P) buffer, where row i is one
+    model and each block leads with N.
+    """
 
     embed: np.ndarray  # (input_dim, hidden_dim)
     gate: np.ndarray  # (hidden_dim, num_experts)
@@ -64,13 +73,49 @@ class ModelParams:
 
     BLOCKS = ("embed", "gate", "expert_w1", "expert_b1", "expert_w2", "expert_b2", "head")
 
+    def __post_init__(self):
+        blocks = [np.asarray(getattr(self, b)) for b in self.BLOCKS]
+        flat = np.concatenate([a.ravel() for a in blocks], dtype=np.float64)
+        self.__dict__.update(ModelParams.from_flat(flat, [a.shape for a in blocks]).__dict__)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "ModelParams":
+        """Blocks of the given shapes as views of `flat` (..., P), in BLOCKS
+        order; the buffer's leading axes lead every block."""
+        shapes = tuple(shapes)
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) != flat.shape[-1]:
+            raise ValueError(
+                f"block shapes need {sum(sizes)} entries, buffer rows hold {flat.shape[-1]}"
+            )
+        self = object.__new__(cls)
+        self.__dict__.update(flat=flat, shapes=shapes)
+        lead, end = flat.shape[:-1], 0
+        for b, shape, size in zip(cls.BLOCKS, shapes, sizes):
+            self.__dict__[b] = flat[..., end : end + size].reshape(lead + shape)
+            end += size
+        return self
+
+    def __setattr__(self, name, value):
+        if name in self.BLOCKS and "flat" in self.__dict__:
+            view = self.__dict__[name]
+            value = np.asarray(value)
+            if value.shape != view.shape:
+                raise ValueError(f"block {name!r} is {view.shape}, got {value.shape}")
+            view[...] = value
+        else:
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return ModelParams.from_flat, (self.flat, self.shapes)
+
     def copy(self) -> "ModelParams":
-        return ModelParams(*(getattr(self, b).copy() for b in self.BLOCKS))
+        return ModelParams.from_flat(self.flat.copy(), self.shapes)
 
     def check_finite(self):
-        for b in self.BLOCKS:
-            if not np.all(np.isfinite(getattr(self, b))):
-                raise FloatingPointError(f"non-finite entries in parameter block {b!r}")
+        if not np.isfinite(self.flat).all():
+            bad = next(b for b in self.BLOCKS if not np.isfinite(getattr(self, b)).all())
+            raise FloatingPointError(f"non-finite entries in parameter block {bad!r}")
 
 
 EXPERT_BLOCKS = ("expert_w1", "expert_b1", "expert_w2", "expert_b2")
@@ -109,6 +154,8 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     scores = np.asarray(scores)
     if k > scores.shape[-1]:
         raise ValueError(f"k={k} exceeds score length {scores.shape[-1]}")
+    if k == 1:  # argmax also takes the lowest index among ties, without a sort
+        return scores.argmax(axis=-1)[..., None]
     # Stable sort on negated scores keeps lower indices first among ties.
     order = np.argsort(-scores, axis=-1, kind="stable")
     return np.sort(order[..., :k], axis=-1)
@@ -127,6 +174,7 @@ class ForwardTrace:
     topk_probs: np.ndarray  # (B, S) renormalized over the top-k, zero elsewhere
     residual: np.ndarray  # (B, hidden_dim) MoE output + hidden, the head's input
     logits: np.ndarray  # (B, num_classes)
+    logit_exp: np.ndarray | None  # (B, num_classes) exp(logits - row max); None without labels
     expert_act: np.ndarray  # (S, B, expert_hidden) tanh activations, every expert
     expert_out: np.ndarray  # (S, B, hidden_dim) expert outputs, every expert
 
@@ -150,24 +198,23 @@ def forward(
         raise ValueError(
             f"batch feature width {x.shape} incompatible with input_dim {params.embed.shape[0]}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise FloatingPointError("non-finite entries in input batch")
     k = config.top_k
+    rows = np.arange(x.shape[0])[:, None]
 
     h = x @ params.embed  # (B, H)
     g = h @ params.gate  # (B, S)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gate scores")
-    fp = softmax(g)
+    # One exp serves both softmaxes: the row's largest score is always among
+    # its top k, so the top-k softmax shifts by the same maximum.
+    ez = np.exp(g - g.max(axis=1, keepdims=True))
+    fp = ez / ez.sum(axis=1, keepdims=True)
     topk_idx = top_k_select(g, k)
-
-    # Softmax restricted to the selected experts, zeros elsewhere.
-    masked = np.full_like(g, -np.inf)
-    rows = np.arange(x.shape[0])[:, None]
-    masked[rows, topk_idx] = g[rows, topk_idx]
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    ez = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
-    tp = ez / ez.sum(axis=1, keepdims=True)
+    tp = np.zeros_like(g)
+    tp[rows, topk_idx] = ez[rows, topk_idx]
+    tp /= tp.sum(axis=1, keepdims=True)
 
     # Every expert on every row; tp is zero off the top-k, so only the
     # selected experts reach the mixture.
@@ -180,18 +227,17 @@ def forward(
 
     r = y + h  # residual connection around the MoE layer
     logits = r @ params.head
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
 
-    loss = None
-    lab = None
+    loss = lab = logit_exp = None
     if labels is not None:
         lab = np.asarray(labels, dtype=np.int64)
         c = params.head.shape[1]
         if lab.min() < 0 or lab.max() >= c:
             raise ValueError("labels outside [0, num_classes)")
-        logp = _log_softmax(logits)
-        loss = float(-logp[np.arange(lab.size), lab].mean())
+        logp, logit_exp = _log_softmax(logits)
+        loss = float(-logp[rows[:, 0], lab].mean())
 
     trace = ForwardTrace(
         inputs=x,
@@ -203,21 +249,24 @@ def forward(
         topk_probs=tp,
         residual=r,
         logits=logits,
+        logit_exp=logit_exp,
         expert_act=z,
         expert_out=o,
     )
     return trace, loss
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax. The row's largest term, exp(0) = 1, is left out
-    of the sum and added back through log1p, so a confident row's small
+def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-softmax, and exp(logits - row max), from which backward
+    forms the softmax. The row's largest term, exp(0) = 1, is left out of the
+    log's sum and added back through log1p, so a confident row's small
     log-probabilities are not rounded to an ulp of its largest logit."""
     rows, top = np.arange(logits.shape[0]), logits.argmax(axis=1)
     shifted = logits - logits[rows, top][:, None]
-    rest = np.exp(shifted)
+    e = np.exp(shifted)
+    rest = e.copy()
     rest[rows, top] = 0.0
-    return shifted - np.log1p(rest.sum(axis=1, keepdims=True))
+    return shifted - np.log1p(rest.sum(axis=1, keepdims=True)), e
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -228,6 +277,13 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     near one-hot row subtracts two nearly equal numbers."""
     d = dp - dp[np.arange(p.shape[0]), p.argmax(axis=1)][:, None]
     return p * (d - (p * d).sum(axis=1, keepdims=True))
+
+
+def _expert_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a C-contiguous (S, B) array. numpy adds the rows
+    one after another, in ascending expert order; a single column would be
+    summed pairwise, so it is accumulated instead."""
+    return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
 def masked_kl(
@@ -246,40 +302,33 @@ def masked_kl(
     value (a float for a row, (B,) for a batch) and, with `want_grad`, its
     gradient with respect to `fp`, shaped like `fp`.
 
-    Every sum runs over a row's mask members, gathered in ascending index
-    order into a zero-padded (B, min(2k, S)) array, not over the dense row:
-    numpy sums 8 or more entries pairwise, so dense rows of a wide S would
-    change the last bits of the result.
+    The work is dense in an expert-major (S, B) layout, zero off the mask.
+    Every sum over experts adds them one at a time in ascending index order
+    (`_expert_sum`), and an entry off the mask adds an exact 0, so a row's
+    sums are those of its mask members alone, in index order, for any S.
     """
     fp = np.asarray(fp, dtype=np.float64)
     batch = np.atleast_2d(fp)
     b, s = batch.shape
-    mask = np.zeros((b, s), dtype=bool)
-    mask[np.arange(b)[:, None], top_k_select(batch, k)] = True
-    mask[:, top_k_select(p_g, k)] = True
-    r, c = np.nonzero(mask)  # row-major, so ascending index within a row
-    slot = np.cumsum(mask, axis=1)[r, c] - 1
-
-    def gather(values):
-        out = np.zeros((b, min(2 * k, s)))
-        out[r, slot] = values
-        return out
-
-    f, q, a = gather(batch[r, c]), gather(p_g[c]), gather(alpha[c])
-    zp = np.maximum(f.sum(axis=1, keepdims=True), EPS)
-    zq = np.maximum(q.sum(axis=1, keepdims=True), EPS)
+    mask = np.zeros((s, b), dtype=bool)
+    mask[top_k_select(batch, k).T, np.arange(b)] = True
+    mask[top_k_select(p_g, k)] = True
+    f = np.where(mask, batch.T, 0.0)
+    q = np.where(mask, p_g[:, None], 0.0)
+    zp = np.maximum(_expert_sum(f), EPS)
+    zq = np.maximum(_expert_sum(q), EPS)
     pt = f / zp
     qt = np.maximum(q / zq, EPS)
-    val = (a * kl_term(pt, qt)).sum(axis=1)
+    log_ratio = np.log(np.maximum(pt, EPS) / qt)
+    val = _expert_sum(alpha[:, None] * np.where(pt > 0.0, pt * log_ratio, 0.0))
     if fp.ndim == 1:
         val = float(val[0])
     if not want_grad:
         return val
     # d val / d pt, then back through the renormalization pt = fp/zp.
-    dpt = a * (np.log(np.maximum(pt, EPS) / qt) + 1.0)
-    g = (dpt - (dpt * pt).sum(axis=1, keepdims=True)) / zp
+    dpt = alpha[:, None] * (log_ratio + 1.0)
     dfp = np.zeros((b, s))
-    dfp[r, c] = g[r, slot]
+    np.copyto(dfp.T, (dpt - _expert_sum(dpt * pt)) / zp, where=mask)
     return val, dfp.reshape(fp.shape)
 
 
@@ -295,16 +344,19 @@ def backward(
     `reg_ctx` must expose `p_g` and `alpha` arrays of length S; it is only
     consulted when lam > 0. Gradients of experts outside every row's top-k
     are zero.
-    Returns a ModelParams-shaped gradient container.
+    Returns the gradients as a ModelParams laid out like `params`, each
+    block written into its view of one buffer.
     """
     if trace.labels is None:
         raise ValueError("backward requires a trace with labels")
     b = trace.batch_size
+    grads = ModelParams.from_flat(np.empty_like(params.flat), params.shapes)
 
     # Head and residual.
-    dlogits = softmax(trace.logits)
+    dlogits = trace.logit_exp / trace.logit_exp.sum(axis=1, keepdims=True)
     dlogits[np.arange(b), trace.labels] -= 1.0
     dlogits /= b
+    np.matmul(trace.residual.T, dlogits, out=grads.head)
     dy = dlogits @ params.head.T
     dh = dy.copy()
 
@@ -312,8 +364,12 @@ def backward(
     tp, z = trace.topk_probs, trace.expert_act
     dtp = np.einsum("bh,sbh->bs", dy, trace.expert_out)
     do = tp.T[:, :, None] * dy  # (S, B, H), zero off the top-k
+    np.matmul(z.transpose(0, 2, 1), do, out=grads.expert_w2)
+    do.sum(axis=1, out=grads.expert_b2)
     da = do @ params.expert_w2.transpose(0, 2, 1)
     da *= 1.0 - z * z
+    np.matmul(trace.hidden.T, da, out=grads.expert_w1)
+    da.sum(axis=1, out=grads.expert_b1)
     dh += (da @ params.expert_w1.transpose(0, 2, 1)).sum(axis=0)
 
     # Through the top-k restricted softmax (selection set held fixed); tp is
@@ -328,16 +384,10 @@ def backward(
         dfp *= lam / b
         dg += _softmax_backward(trace.full_probs, dfp)
 
+    np.matmul(trace.hidden.T, dg, out=grads.gate)
     dh += dg @ params.gate.T
-    return ModelParams(
-        embed=trace.inputs.T @ dh,
-        gate=trace.hidden.T @ dg,
-        expert_w1=trace.hidden.T @ da,
-        expert_b1=da.sum(axis=1),
-        expert_w2=z.transpose(0, 2, 1) @ do,
-        expert_b2=do.sum(axis=1),
-        head=trace.residual.T @ dlogits,
-    )
+    np.matmul(trace.inputs.T, dh, out=grads.embed)
+    return grads
 
 
 def save_checkpoint(path, config: MoEConfig, params: ModelParams):
@@ -356,8 +406,7 @@ def save_checkpoint(path, config: MoEConfig, params: ModelParams):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for b in ModelParams.BLOCKS:
-            fh.write(np.ascontiguousarray(getattr(params, b), dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
@@ -394,7 +443,4 @@ def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
                 f"{have - want} trailing bytes in checkpoint: {have} bytes, header needs {want}"
             )
         body = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    parts = np.split(body, np.cumsum(sizes)[:-1])
-    return config, ModelParams(
-        *(part.reshape(shapes[name]) for name, part in zip(ModelParams.BLOCKS, parts))
-    )
+    return config, ModelParams.from_flat(body, [shapes[name] for name in ModelParams.BLOCKS])

@@ -4,7 +4,10 @@ Everything here is computed with plain ``math`` arithmetic, written out
 step by step and never calling into the package, so the test suite checks
 the implementation against an independent derivation rather than against
 itself. Statistics-level values are asserted to 1e-9 by the tests;
-training-touching values to 1e-6.
+training-touching values to 1e-6. The one exception is
+`local_round_per_block`, a reference for the training loop alone: it calls
+the package's forward, backward and statistics, and redoes everything
+around them one block at a time.
 """
 
 import math
@@ -318,3 +321,53 @@ def sparse_backward(fwd, params, labels, k, lam=0.0, p_g=None, alpha=None):
     dh += dg @ params.gate.T
     grads["embed"] = fwd["x"].T @ dh
     return grads
+
+
+def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_size=32,
+                          prox_mu=0.0, prox_ref=None):
+    """Reference for `client.local_round`: the per-block loop it replaced.
+
+    Each step gathers its batch from the shard with two fancy-index lookups,
+    adds `baselines.prox_term`'s gradient block by block, updates each of
+    the seven blocks on its own and checks each for finite entries. The
+    model math is the package's `forward`/`backward`, and the statistics
+    come from the client's helpers. Returns a `LocalRoundResult`."""
+    import numpy as np
+
+    from fedalign import client as C
+    from fedalign import model as M
+    from fedalign.baselines import prox_term
+
+    blocks = M.ModelParams.BLOCKS
+    params = M.ModelParams(*(getattr(params_in, b).copy() for b in blocks))
+    n = shard.size
+    for _epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            trace, loss = M.forward(config, params, shard.features[idx], shard.labels[idx])
+            if loss is None or not np.isfinite(loss):
+                raise FloatingPointError("non-finite training loss, aborting round")
+            grads = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx)
+            if prox_mu > 0.0 and prox_ref is not None:
+                prox = prox_term(params, prox_ref, prox_mu)[1]
+                grads = M.ModelParams(*(getattr(grads, b) + getattr(prox, b) for b in blocks))
+            for b in blocks:
+                getattr(params, b)[...] -= lr * getattr(grads, b)
+            for b in blocks:
+                if not np.all(np.isfinite(getattr(params, b))):
+                    raise FloatingPointError(f"non-finite entries in parameter block {b!r}")
+
+    trace, mean_local = M.forward(config, params, shard.features, shard.labels)
+    mu, empty = C.compute_mu(trace)
+    return C.LocalRoundResult(
+        param_delta=M.ModelParams(
+            *(getattr(params, b) - getattr(params_in, b) for b in blocks)
+        ),
+        p_bar=C.compute_p_bar(trace),
+        margin=C.compute_margin(trace),
+        mu=mu,
+        mu_empty=empty,
+        mean_local_loss=mean_local,
+        mean_reg_loss=C.reg_loss(trace, ctx, config.top_k),
+    )

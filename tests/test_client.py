@@ -1,12 +1,13 @@
-"""Client-side tests: routing statistics, the regularizer and local training
-behaviour."""
+"""Client-side tests: routing statistics, the regularizer, local training
+behaviour and the training loop against the per-block loop it replaced."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -47,6 +48,11 @@ class TestRegContext:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
             RegContext(np.array([0.7, 0.7]), 0.1, np.ones(2))
+
+    def test_rejects_non_finite(self):
+        # A NaN passes both the sign and the sum test.
+        with pytest.raises(ValueError):
+            RegContext(np.array([np.nan, 1.0]), 0.1, np.ones(2))
 
 
 class TestPBar:
@@ -286,3 +292,65 @@ class TestLocalRound:
         config, params, shard, ctx = make_setup()
         with pytest.raises(ValueError):
             local_round(config, params, shard, ctx, 1, -0.1, np.random.default_rng(0))
+
+
+class TestLocalRoundOracle:
+    """`local_round` against the per-block loop it replaced
+    (`oracles.local_round_per_block`): the same bits in every output. Shards
+    are ragged, so a last batch of one row occurs; integer inputs and
+    weights tie gate scores, and a x400 gate underflows entries of the
+    routing softmax."""
+
+    @settings(max_examples=60, deadline=None)
+    # A one-row last batch at S = 16, k = 2: the masked KL's expert sums
+    # over a single column.
+    @example(s=16, k_frac=0.1, n=33, batch_size=32, seed=5, lam=0.3, prox=False,
+             rounded=False, gate_scale=1.0)
+    @given(
+        s=st.integers(1, 20),
+        k_frac=st.floats(0.0, 1.0),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([0.0, 0.3]),
+        prox=st.booleans(),
+        rounded=st.booleans(),
+        gate_scale=st.sampled_from([1.0, 400.0]),
+    )
+    def test_matches_per_block_loop(
+        self, s, k_frac, n, batch_size, seed, lam, prox, rounded, gate_scale
+    ):
+        k = 1 + min(s - 1, int(k_frac * s))
+        config = MoEConfig(input_dim=3, hidden_dim=4, num_experts=s, top_k=k, num_classes=3,
+                           expert_hidden=3)
+        rng = np.random.default_rng(seed)
+        params = init_params(config, rng)
+        x = rng.normal(size=(n, config.input_dim))
+        if rounded:
+            x = np.round(x)
+            params.embed = np.round(params.embed * 2.0)
+            params.gate = np.round(params.gate * 2.0)
+        params.gate *= gate_scale
+        shard = ClientDataset(x, rng.integers(0, config.num_classes, size=n))
+        ctx = RegContext(rng.dirichlet(np.ones(s)), lam, rng.uniform(size=s))
+        # A proximal reference apart from the start model, so the penalty
+        # pulls from the first step on.
+        kw = dict(epochs=2, lr=0.05, batch_size=batch_size, prox_mu=0.1 if prox else 0.0,
+                  prox_ref=init_params(config, rng) if prox else None)
+
+        try:
+            want = oracles.local_round_per_block(
+                config, params, shard, ctx, rng=np.random.default_rng(seed), **kw
+            )
+        except FloatingPointError as exc:
+            with pytest.raises(FloatingPointError, match=re.escape(str(exc))):
+                local_round(config, params, shard, ctx, rng=np.random.default_rng(seed), **kw)
+            return
+        got = local_round(config, params, shard, ctx, rng=np.random.default_rng(seed), **kw)
+
+        for b in ModelParams.BLOCKS:
+            assert np.array_equal(getattr(got.param_delta, b), getattr(want.param_delta, b)), b
+        for name in ("p_bar", "margin", "mu", "mu_empty"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.mean_local_loss == want.mean_local_loss
+        assert got.mean_reg_loss == want.mean_reg_loss

@@ -326,6 +326,18 @@ class TestCli:
         assert err["error"] == "diverged"
         assert "round 1, client 0" in err["details"]
 
+    def test_divergence_in_update_names_block(self, tmp_path, capsys):
+        # Inputs of scale 1e6 give gradients far above 1, so the first
+        # update at lr=1e308 overflows the parameters before any forward
+        # pass sees them; the parameter check names the first bad block.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(dict(TINY, lr=1e308, mean_scale=1e6, noise_std=1e6)))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "diverged"
+        assert err["details"] == "round 1, client 0: non-finite entries in parameter block 'embed'"
+
     # lr=1e300 overflows in a matmul, lr=50 in a reduction; numpy would warn
     # about either on stderr ahead of the JSON.
     @pytest.mark.parametrize("cfg", [dict(TINY, lr=1e300), {"lr": 50, "rounds": 3}])

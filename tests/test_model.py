@@ -1,8 +1,10 @@
-"""Model tests: top-k selection, forward degenerate cases, exact gradients
-against finite differences, dense-mixture equivalence at k=S, the dense
-expert dispatch against the per-expert sparse oracle, the batched masked KL
-against the per-sample oracle, and the byte-exact checkpoint format."""
+"""Model tests: the flat parameter buffer and its finiteness check, top-k
+selection, forward degenerate cases, exact gradients against finite
+differences, dense-mixture equivalence at k=S, the dense expert dispatch
+against the per-expert sparse oracle, the batched masked KL against the
+per-sample oracle, and the byte-exact checkpoint format."""
 
+import pickle
 import struct
 
 import numpy as np
@@ -40,6 +42,57 @@ def small_batch(config, seed=0, batch=4):
     x = rng.normal(size=(batch, config.input_dim))
     labels = rng.integers(0, config.num_classes, size=batch)
     return params, x, labels
+
+
+class TestModelParamsFlat:
+    """The seven blocks are views of one buffer, in BLOCKS order."""
+
+    def test_blocks_are_views_in_block_order(self):
+        params, _, _ = small_batch(small_config())
+        want = np.concatenate([getattr(params, b).ravel() for b in ModelParams.BLOCKS])
+        assert params.flat.ndim == 1 and np.array_equal(params.flat, want)
+        for b in ModelParams.BLOCKS:
+            assert np.shares_memory(getattr(params, b), params.flat), b
+        params.flat[...] = np.arange(params.flat.size)
+        assert np.array_equal(
+            np.concatenate([getattr(params, b).ravel() for b in ModelParams.BLOCKS]),
+            np.arange(params.flat.size),
+        )
+
+    def test_assignment_copies_into_buffer(self):
+        params, _, _ = small_batch(small_config())
+        value = np.full(params.gate.shape, 2.5)
+        params.gate = value
+        value[...] = 0.0
+        assert np.all(params.gate == 2.5) and np.shares_memory(params.gate, params.flat)
+        with pytest.raises(ValueError, match="'gate'"):
+            params.gate = np.zeros(params.gate.shape[::-1])
+
+    def test_copy_and_pickle_keep_views(self):
+        params, _, _ = small_batch(small_config())
+        for other in (params.copy(), pickle.loads(pickle.dumps(params))):
+            assert np.array_equal(other.flat, params.flat)
+            assert not np.shares_memory(other.flat, params.flat)
+            for b in ModelParams.BLOCKS:
+                assert np.shares_memory(getattr(other, b), other.flat), b
+
+    def test_stacked_rows(self):
+        params, _, _ = small_batch(small_config())
+        rows = np.stack([params.flat, 2.0 * params.flat, -params.flat])
+        stacked = ModelParams.from_flat(rows, params.shapes)
+        for b in ModelParams.BLOCKS:
+            assert np.array_equal(getattr(stacked, b)[1], 2.0 * getattr(params, b))
+        with pytest.raises(ValueError, match="block shapes need"):
+            ModelParams.from_flat(rows[:, 1:], params.shapes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ModelParams.BLOCKS)
+    def test_check_finite_names_block(self, block, bad):
+        params, _, _ = small_batch(small_config())
+        params.check_finite()
+        getattr(params, block).reshape(-1)[-1] = bad
+        with pytest.raises(FloatingPointError, match=f"parameter block '{block}'"):
+            params.check_finite()
 
 
 class TestConfig:
@@ -343,6 +396,22 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.ckpt"
         save_checkpoint(path2, config2, params2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_roundtrip_from_stacked_row(self, tmp_path):
+        # A model whose buffer is one row of a stacked (N, P) buffer writes
+        # the checkpoint's body straight from that row.
+        config = small_config()
+        params, _, _ = small_batch(config)
+        rows = np.stack([-params.flat, params.flat])
+        row = ModelParams.from_flat(rows[1], params.shapes)
+        path = tmp_path / "row.ckpt"
+        save_checkpoint(path, config, row)
+        raw = path.read_bytes()
+        assert raw[32:] == params.flat.astype("<f8").tobytes()
+        config2, loaded = load_checkpoint(path)
+        assert config2 == config and np.array_equal(loaded.flat, params.flat)
+        save_checkpoint(tmp_path / "again.ckpt", config2, loaded)
+        assert (tmp_path / "again.ckpt").read_bytes() == raw
 
     def test_header_layout(self, tmp_path):
         config = small_config()

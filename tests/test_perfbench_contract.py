@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` replaces package functions by name and tells
 `backward`'s two spans apart by its fourth positional argument, `lam`; its
-`AggregationCheck` in `perfbench/checks.py` recomputes each round's
+per-layer numbers assume one traced `forward` and `backward` per SGD step.
+Its `AggregationCheck` in `perfbench/checks.py` recomputes each round's
 aggregate from the start parameters and updates that `local_round` sees.
 A rename under `src/`, an aggregation that writes the global model in
 place, or a round loop that hides its metrics calls from the tracer would
@@ -69,11 +70,17 @@ def test_traced_run_passes_aggregation_check(tracing, checks, method):
         method=method, rounds=3, num_clients=4, samples_per_class=30, dirichlet_alpha=1.0
     )
     agg = checks.AggregationCheck(asdict(cfg))
+    shard_sizes = []
+
+    def on_local_round(args, kwargs, res):
+        shard_sizes.append(args[2].size)
+        agg.on_local_round(args, kwargs, res)
+
     tracer = tracing.Tracer(
         {"harness": harness, "model": model, "client": client, "server": server,
          "baselines": baselines, "cli": cli},
         observers={
-            "client.local_round": agg.on_local_round,
+            "client.local_round": on_local_round,
             "server.expert_weights": agg.on_expert_weights,
         },
     )
@@ -92,6 +99,13 @@ def test_traced_run_passes_aggregation_check(tracing, checks, method):
     assert tracer.calls["harness.evaluate"] == cfg.rounds
     spans = tracer.metrics()
     assert all(spans[f"phase.{phase}.s"] > 0 for phase in tracing.PHASE_NAMES), spans
+    # Every SGD step runs the traced backward, so a step that bypasses it
+    # shows here: epochs * ceil(n_i / B) steps per client and round.
+    steps = sum(cfg.local_epochs * -(-size // cfg.batch_size) for size in shard_sizes)
+    assert tracer.calls["model.backward_ce"] + tracer.calls["model.backward_kl"] == steps
+    if method == "fedalign":
+        assert tracer.calls["model.backward_kl"] == steps
+        assert tracer.calls["model.masked_kl"] > 0
 
 
 def test_selftest_catches_every_corruption():
