@@ -96,7 +96,7 @@ def reg_loss(trace: M.ForwardTrace, ctx: RegContext, top_k: int) -> float:
 
     The per-sample values are added front to back from 0.0, not by numpy's
     pairwise sum, which keeps the reported `mean_reg_loss` byte-stable."""
-    vals = M.masked_kl(trace.full_probs, ctx.p_g, ctx.alpha, top_k)
+    vals, _ = M.masked_kl(trace.full_probs, ctx.p_g, ctx.alpha, top_k)
     return float(np.add.accumulate(np.concatenate(([0.0], vals)))[-1]) / trace.batch_size
 
 

@@ -96,7 +96,8 @@ class ExperimentConfig:
                 errors.append(f"{name} must be {'>' if strict else '>='} {low}")
             elif kind is int and value >= INT_LIMIT:
                 errors.append(f"{name} must be < 2**32, got {value}")
-        if self.fixed_tau is not None and not _is_type(self.fixed_tau, float):
+        tau_ok = self.fixed_tau is None or _is_type(self.fixed_tau, float)
+        if not tau_ok:
             errors.append(f"fixed_tau must be a finite number or null, got {self.fixed_tau!r}")
         if not isinstance(self.ablations, tuple):
             errors.append(f"ablations must be a list of flag names, got {self.ablations!r}")
@@ -106,6 +107,8 @@ class ExperimentConfig:
                     errors.append(f"unknown ablation flag {flag!r}")
             if self.ablated("fixed_threshold") and self.fixed_tau is None:
                 errors.append("fixed_threshold ablation requires fixed_tau")
+            elif tau_ok and self.fixed_tau is not None and not self.ablated("fixed_threshold"):
+                errors.append("fixed_tau is only used with the fixed_threshold ablation")
         counts = (self.num_clients, self.num_classes, self.samples_per_class)
         if all(_is_type(v, int) and v >= 1 for v in counts):
             pool = self.num_classes * self.samples_per_class

@@ -286,34 +286,25 @@ def _expert_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
-def masked_kl(
-    fp: np.ndarray,
-    p_g: np.ndarray,
-    alpha: np.ndarray,
-    k: int,
-    want_grad: bool = False,
-):
+def masked_kl(fp: np.ndarray, p_g: np.ndarray, alpha: np.ndarray, k: int):
     """Masked, renormalized KL between each sample's full routing softmax and
-    the global reference.
+    the global reference, and its gradient.
 
-    `fp` is one softmax row (S,) or a batch (B, S). A row's mask is its own
-    top-k OR the top-k of `p_g`; both distributions are renormalized over
-    the mask so the comparison is a proper distribution pair. Returns the
-    value (a float for a row, (B,) for a batch) and, with `want_grad`, its
-    gradient with respect to `fp`, shaped like `fp`.
+    `fp` is a batch of softmax rows (B, S). A row's mask is its own top-k OR
+    the top-k of `p_g`; both distributions are renormalized over the mask so
+    the comparison is a proper distribution pair. Returns the values (B,)
+    and their gradients with respect to `fp` (B, S).
 
     The work is dense in an expert-major (S, B) layout, zero off the mask.
     Every sum over experts adds them one at a time in ascending index order
     (`_expert_sum`), and an entry off the mask adds an exact 0, so a row's
     sums are those of its mask members alone, in index order, for any S.
     """
-    fp = np.asarray(fp, dtype=np.float64)
-    batch = np.atleast_2d(fp)
-    b, s = batch.shape
+    b, s = fp.shape
     mask = np.zeros((s, b), dtype=bool)
-    mask[top_k_select(batch, k).T, np.arange(b)] = True
+    mask[top_k_select(fp, k).T, np.arange(b)] = True
     mask[top_k_select(p_g, k)] = True
-    f = np.where(mask, batch.T, 0.0)
+    f = np.where(mask, fp.T, 0.0)
     q = np.where(mask, p_g[:, None], 0.0)
     zp = np.maximum(_expert_sum(f), EPS)
     zq = np.maximum(_expert_sum(q), EPS)
@@ -321,15 +312,11 @@ def masked_kl(
     qt = np.maximum(q / zq, EPS)
     log_ratio = np.log(np.maximum(pt, EPS) / qt)
     val = _expert_sum(alpha[:, None] * np.where(pt > 0.0, pt * log_ratio, 0.0))
-    if fp.ndim == 1:
-        val = float(val[0])
-    if not want_grad:
-        return val
     # d val / d pt, then back through the renormalization pt = fp/zp.
     dpt = alpha[:, None] * (log_ratio + 1.0)
     dfp = np.zeros((b, s))
     np.copyto(dfp.T, (dpt - _expert_sum(dpt * pt)) / zp, where=mask)
-    return val, dfp.reshape(fp.shape)
+    return val, dfp
 
 
 def backward(
@@ -341,14 +328,16 @@ def backward(
 ) -> ModelParams:
     """Exact gradients of L_total = L_local + lam * L_reg for one batch.
 
-    `reg_ctx` must expose `p_g` and `alpha` arrays of length S; it is only
-    consulted when lam > 0. Gradients of experts outside every row's top-k
-    are zero.
+    `reg_ctx` must expose `p_g` and `alpha` arrays of length S; it is
+    required when lam > 0 and only consulted then. Gradients of experts
+    outside every row's top-k are zero.
     Returns the gradients as a ModelParams laid out like `params`, each
     block written into its view of one buffer.
     """
     if trace.labels is None:
         raise ValueError("backward requires a trace with labels")
+    if lam > 0.0 and reg_ctx is None:
+        raise ValueError(f"backward with lam={lam} > 0 requires reg_ctx (p_g and alpha)")
     b = trace.batch_size
     grads = ModelParams.from_flat(np.empty_like(params.flat), params.shapes)
 
@@ -377,10 +366,8 @@ def backward(
     dg = _softmax_backward(tp, dtp)
 
     # KL regularizer through the full softmax (batch mean).
-    if lam > 0.0 and reg_ctx is not None:
-        _, dfp = masked_kl(
-            trace.full_probs, reg_ctx.p_g, reg_ctx.alpha, config.top_k, want_grad=True
-        )
+    if lam > 0.0:
+        _, dfp = masked_kl(trace.full_probs, reg_ctx.p_g, reg_ctx.alpha, config.top_k)
         dfp *= lam / b
         dg += _softmax_backward(trace.full_probs, dfp)
 

@@ -16,36 +16,6 @@ EPS = 1e-8
 NORM_FLOOR = 1e-12
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis (max-subtraction)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("softmax of empty input")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite input to softmax")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def kl_term(p, q):
-    """Per-entry KL summand p*log(p/q) with the 0*log(0/q) = 0 convention.
-
-    q is clamped below at EPS before the division. Accepts scalars or
-    arrays (elementwise).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise ValueError("non-finite input to kl_term")
-    qc = np.maximum(q, EPS)
-    pc = np.maximum(p, EPS)  # only enters through the log; masked where p == 0
-    out = np.where(p > 0.0, p * np.log(pc / qc), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot over the last axis, broadcast over the leading axes.
 
@@ -63,12 +33,12 @@ def norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(x, x))
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray):
+def cosine_sim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity over the last axis of `a` and `b` (..., P), with
     the leading axes broadcast; 0 where either norm is below NORM_FLOOR.
 
     Each row's norm is computed once, so `cosine_sim(x[:, None], x[None])`
-    gives all N^2 pairs of the rows of x. Two 1-D inputs give a float.
+    gives all N^2 pairs of the rows of x.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -79,20 +49,15 @@ def cosine_sim(a: np.ndarray, b: np.ndarray):
     dot = _dot(a, b)
     live = ~((na < NORM_FLOOR) | (nb < NORM_FLOOR))
     cos = np.divide(dot, na * nb, out=np.zeros(dot.shape), where=live)
-    out = np.clip(cos, -1.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.clip(cos, -1.0, 1.0)
 
 
-def sigmoid(x):
-    """Numerically stable logistic function, scalar or elementwise."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+def sigmoid(x) -> np.ndarray:
+    """Numerically stable logistic function, elementwise."""
+    arr = np.asarray(x, dtype=np.float64)
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ex = np.exp(arr[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if np.ndim(x) == 0:
-        return float(out[0])
     return out

@@ -1,15 +1,16 @@
 """Test tools: builders for client updates (a `ModelParams` of deltas made
 from per-expert rows, and the model a delta leads to), a container for one
 client's routing statistics and the stacked arrays the server takes from
-per-client uploads, row scales around NORM_FLOOR for property tests, and the
-central finite-difference gradient checker."""
+per-client uploads, row scales around NORM_FLOOR for property tests, a plain
+softmax for building inputs, `forward`'s routing softmax of chosen gate
+scores, and the central finite-difference gradient checker."""
 
 from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
 
-from fedalign.model import ModelParams
+from fedalign.model import MoEConfig, ModelParams, forward
 from fedalign.numeric import NORM_FLOOR
 
 # Row scales that put norms at zero, on both sides of NORM_FLOOR, and well
@@ -74,6 +75,33 @@ def stack_uploads(stats, deltas=()):
 def apply_delta(params, delta):
     """start + delta for every block."""
     return ModelParams(*(getattr(params, b) + getattr(delta, b) for b in ModelParams.BLOCKS))
+
+
+def softmax(scores):
+    """Softmax over the last axis, for building routing inputs."""
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def gate_softmax(scores):
+    """`forward`'s full routing softmax of the gate scores `scores` (B, S).
+
+    The model has input, hidden and expert count S, identity `embed` and
+    `gate` and zeros elsewhere, so each gate score row is the input row."""
+    s = scores.shape[1]
+    config = MoEConfig(input_dim=s, hidden_dim=s, num_experts=s, top_k=1,
+                       num_classes=1, expert_hidden=1)
+    params = ModelParams(
+        embed=np.eye(s),
+        gate=np.eye(s),
+        expert_w1=np.zeros((s, s, 1)),
+        expert_b1=np.zeros((s, 1)),
+        expert_w2=np.zeros((s, 1, s)),
+        expert_b2=np.zeros((s, s)),
+        head=np.zeros((s, 1)),
+    )
+    trace, _ = forward(config, params, scores)
+    return trace.full_probs
 
 
 def grad_check(f, params, grad, eps=1e-5):

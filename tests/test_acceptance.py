@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import Stats, expert_delta, grad_check, stack_uploads
+from helpers import Stats, expert_delta, gate_softmax, grad_check, stack_uploads
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
 from fedalign.harness import ExperimentConfig, run_experiment
-from fedalign.numeric import cosine_sim, kl_term, sigmoid, softmax
+from fedalign.numeric import cosine_sim, sigmoid
 
 SEEDS = range(5)
 
@@ -86,10 +86,8 @@ def test_criterion_1_gradient_fidelity(report):
                 t, ce = M.forward(config, probe, x, labels)
                 if lam == 0.0:
                     return ce
-                reg = np.mean([
-                    M.masked_kl(fp, p_g, alpha, config.top_k) for fp in t.full_probs
-                ])
-                return ce + lam * reg
+                vals, _ = M.masked_kl(t.full_probs, p_g, alpha, config.top_k)
+                return ce + lam * vals.mean()
 
             for block in M.ModelParams.BLOCKS:
                 g = getattr(grads, block)
@@ -106,10 +104,13 @@ def test_criterion_1_gradient_fidelity(report):
 
 
 def test_criterion_2_formula_oracles(report):
+    # The routing softmax is forward's, on gate scores [ln 2, 0]; the KL
+    # summand is masked_kl's, with the mask on both experts and alpha [1, 0].
     checks = []
-    checks.append(abs(softmax(np.array([math.log(2), 0.0]))[0]
+    checks.append(abs(gate_softmax(np.array([[math.log(2), 0.0]]))[0, 0]
                       - oracles.SOFTMAX_LN2_0[0]) < 1e-9)
-    checks.append(abs(kl_term(0.8, 0.2) - oracles.KL_TERM_08_02) < 1e-9)
+    kl, _ = M.masked_kl(np.array([[0.8, 0.2]]), np.array([0.2, 0.8]), np.array([1.0, 0.0]), 2)
+    checks.append(abs(kl[0] - oracles.KL_TERM_08_02) < 1e-9)
     checks.append(abs(sigmoid(-math.log(3.0)) - oracles.SIGMOID_NEG_LN3) < 1e-9)
     checks.append(abs(cosine_sim(np.array([1.0, 0]), np.array([1.0, 1.0]))
                       - oracles.COS_UNIT_DIAG) < 1e-9)
@@ -121,9 +122,8 @@ def test_criterion_2_formula_oracles(report):
         C.compute_margin(type("T", (), {"full_probs": np.array(
             [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])})),
         oracles.MARGIN_TWO_SAMPLES, atol=1e-9))
-    checks.append(abs(
-        M.masked_kl(np.array([0.9, 0.1]), np.array([0.5, 0.5]), np.ones(2), 2)
-        - oracles.MASKED_KL_09_05) < 1e-9)
+    kl, _ = M.masked_kl(np.array([[0.9, 0.1]]), np.array([0.5, 0.5]), np.ones(2), 2)
+    checks.append(abs(kl[0] - oracles.MASKED_KL_09_05) < 1e-9)
     checks.append(abs(C.compute_alpha(np.array([0.1 + math.log(3)]), 0.1)[0]
                       - oracles.SIGMOID_LN3) < 1e-9)
 

@@ -392,6 +392,7 @@ class TestCliConfigFuzz:
         ('{"lam": 1e400}', "lam"),
         ('[1]', "JSON object"),
         ('{"ablations": ["fixed_threshold"], "fixed_tau": "nan"}', "fixed_tau"),
+        ('{"fixed_tau": 0.5}', "fixed_tau"),
         ('{"ablations": 5}', "ablations"),
         (f'{{"rounds": {10**400}}}', "rounds"),
         ('{"seed": 4294967296}', "seed"),

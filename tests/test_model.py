@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import grad_check
+from helpers import grad_check, softmax
 from fedalign.model import (
     MoEConfig,
     ModelParams,
@@ -25,7 +25,6 @@ from fedalign.model import (
     save_checkpoint,
     top_k_select,
 )
-from fedalign.numeric import softmax
 
 
 def small_config(**kw):
@@ -182,10 +181,8 @@ def total_loss(config, params, x, labels, lam, ctx):
     trace, ce = forward(config, params, x, labels)
     if lam == 0.0:
         return ce
-    reg = np.mean(
-        [masked_kl(fp, ctx.p_g, ctx.alpha, config.top_k) for fp in trace.full_probs]
-    )
-    return ce + lam * reg
+    vals, _ = masked_kl(trace.full_probs, ctx.p_g, ctx.alpha, config.top_k)
+    return ce + lam * vals.mean()
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
@@ -310,35 +307,41 @@ def test_backward_requires_labels():
         backward(trace, params, config)
 
 
+def test_backward_with_lam_requires_reg_ctx():
+    config = small_config()
+    params, x, labels = small_batch(config)
+    trace, _ = forward(config, params, x, labels)
+    with pytest.raises(ValueError, match="reg_ctx"):
+        backward(trace, params, config, 0.1)
+
+
 class TestMaskedKl:
     def test_equal_on_mask_is_zero(self):
         p = np.array([0.5, 0.3, 0.2])
-        assert masked_kl(p, p.copy(), np.ones(3), 2) == 0.0
+        vals, _ = masked_kl(p[None], p.copy(), np.ones(3), 2)
+        assert vals[0] == 0.0
 
     def test_alpha_zero(self):
-        p = np.array([0.9, 0.05, 0.05])
+        p = np.array([[0.9, 0.05, 0.05]])
         q = np.array([0.1, 0.4, 0.5])
-        assert masked_kl(p, q, np.zeros(3), 2) == 0.0
+        vals, dfp = masked_kl(p, q, np.zeros(3), 2)
+        assert vals[0] == 0.0 and not dfp.any()
 
     def test_hand_value(self):
         # k=2 so the mask covers both experts; renormalization is then a
         # no-op and the value is the plain two-term KL.
-        val = masked_kl(
-            np.array([0.9, 0.1]), np.array([0.5, 0.5]), np.ones(2), 2
-        )
-        assert abs(val - oracles.MASKED_KL_09_05) < 1e-9
+        vals, _ = masked_kl(np.array([[0.9, 0.1]]), np.array([0.5, 0.5]), np.ones(2), 2)
+        assert abs(vals[0] - oracles.MASKED_KL_09_05) < 1e-9
 
     def test_shapes(self):
         rng = np.random.default_rng(0)
         fp = softmax(rng.normal(size=(3, 5)))
         p_g, alpha = softmax(rng.normal(size=5)), rng.uniform(size=5)
-        val, dfp = masked_kl(fp[0], p_g, alpha, 2, want_grad=True)
-        assert isinstance(val, float) and dfp.shape == (5,)
-        assert isinstance(masked_kl(fp[0], p_g, alpha, 2), float)
-        assert masked_kl(fp, p_g, alpha, 2).shape == (3,)
-        one, done = masked_kl(fp[:1], p_g, alpha, 2, want_grad=True)
-        assert one.shape == (1,) and one[0] == val
-        assert np.array_equal(done[0], dfp)
+        vals, dfp = masked_kl(fp, p_g, alpha, 2)
+        assert vals.shape == (3,) and dfp.shape == (3, 5)
+        one, done = masked_kl(fp[:1], p_g, alpha, 2)
+        assert one.shape == (1,) and done.shape == (1, 5)
+        assert one[0] == vals[0] and np.array_equal(done[0], dfp[0])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -368,7 +371,7 @@ class TestMaskedKl:
             "uniform": rng.uniform(size=s),
             "some-zero": rng.uniform(size=s) * (rng.uniform(size=s) < 0.5),
         }[alpha_kind]
-        vals, dfp = masked_kl(fp, p_g, alpha, k, want_grad=True)
+        vals, dfp = masked_kl(fp, p_g, alpha, k)
         assert vals.shape == (b,) and dfp.shape == (b, s)
         for i in range(b):
             want_val, want_dfp = oracles.masked_kl_row(fp[i], p_g, alpha, k, want_grad=True)
@@ -379,7 +382,9 @@ class TestMaskedKl:
                 # The padded width reaches numpy's pairwise-sum threshold.
                 assert abs(vals[i] - want_val) <= 1e-13
                 assert np.max(np.abs(dfp[i] - want_dfp)) <= 1e-13
-            assert masked_kl(fp[i], p_g, alpha, k) == vals[i]
+            # One row alone takes `_expert_sum`'s single-column branch.
+            row_val, row_dfp = masked_kl(fp[i : i + 1], p_g, alpha, k)
+            assert row_val[0] == vals[i] and np.array_equal(row_dfp[0], dfp[i])
 
 
 class TestCheckpoint:

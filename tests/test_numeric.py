@@ -1,5 +1,7 @@
 """Numeric kernel tests: worked examples plus hypothesis properties, and the
-stacked cosine kernel against the one-pair oracle."""
+stacked cosine kernel against the one-pair oracle. The routing softmax and
+the KL summand are checked where the program computes them: `forward`'s
+full routing softmax and `model.masked_kl` with every expert on the mask."""
 
 import math
 
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from helpers import NORM_SCALES, grad_check
-from fedalign.numeric import EPS, NORM_FLOOR, cosine_sim, kl_term, norm, sigmoid, softmax
+from helpers import NORM_SCALES, gate_softmax, grad_check, softmax
+from fedalign.model import masked_kl
+from fedalign.numeric import EPS, NORM_FLOOR, cosine_sim, norm, sigmoid
 
 STAT_TOL = 1e-9
 
@@ -19,45 +22,51 @@ finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 class TestSoftmax:
+    """`forward`'s full routing softmax, fed chosen gate scores."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        np.testing.assert_allclose(gate_softmax(np.array([[0.0, 0.0]]))[0], [0.5, 0.5])
 
     def test_stability_under_shift(self):
-        out = softmax(np.array([1000.0, 1000.0]))
+        out = gate_softmax(np.array([[1000.0, 1000.0]]))
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [0.5, 0.5])
+        np.testing.assert_allclose(out[0], [0.5, 0.5])
 
     def test_closed_form(self):
-        out = softmax(np.array([math.log(2.0), 0.0]))
-        np.testing.assert_allclose(out, oracles.SOFTMAX_LN2_0, atol=STAT_TOL)
-
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([]))
-        with pytest.raises(ValueError):
-            softmax(np.array([1.0, np.nan]))
+        out = gate_softmax(np.array([[math.log(2.0), 0.0]]))
+        np.testing.assert_allclose(out[0], oracles.SOFTMAX_LN2_0, atol=STAT_TOL)
 
     @given(hnp.arrays(np.float64, st.integers(1, 8), elements=finite_floats))
     def test_sums_to_one(self, v):
-        assert abs(softmax(v).sum() - 1.0) < 1e-12
+        assert abs(gate_softmax(v[None]).sum() - 1.0) < 1e-12
 
     @given(
         hnp.arrays(np.float64, st.integers(1, 8), elements=finite_floats),
         finite_floats,
     )
     def test_shift_invariance(self, v, c):
-        np.testing.assert_allclose(softmax(v), softmax(v + c), atol=1e-12)
+        np.testing.assert_allclose(gate_softmax(v[None]), gate_softmax(v[None] + c), atol=1e-12)
+
+
+def kl_pair(p, q, alpha):
+    """`masked_kl` of the row [p, 1 - p] against [q, 1 - q] with k = S = 2,
+    so the mask holds both experts and the value is alpha-weighted KL
+    summands p*log(p/q)."""
+    vals, _ = masked_kl(np.array([[p, 1.0 - p]]), np.array([q, 1.0 - q]), np.array(alpha), 2)
+    return vals[0]
 
 
 class TestKlTerm:
+    """The KL summand inside `masked_kl`; alpha = [1, 0] isolates the first."""
+
     def test_identical(self):
-        assert kl_term(0.5, 0.5) == 0.0
+        assert kl_pair(0.5, 0.5, [1.0, 1.0]) == 0.0
 
     def test_zero_mass_convention(self):
-        assert kl_term(0.0, 0.3) == 0.0
+        assert kl_pair(0.0, 0.3, [1.0, 0.0]) == 0.0
 
     def test_hand_value(self):
-        assert abs(kl_term(0.8, 0.2) - oracles.KL_TERM_08_02) < STAT_TOL
+        assert abs(kl_pair(0.8, 0.2, [1.0, 0.0]) - oracles.KL_TERM_08_02) < STAT_TOL
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -65,12 +74,11 @@ class TestKlTerm:
     )
     def test_masked_sum_nonnegative(self, p, q):
         # Over a common support {selected, rest} the summands form a full KL.
-        total = kl_term(p, q) + kl_term(1.0 - p, 1.0 - q)
-        assert total >= -1e-12
+        assert kl_pair(p, q, [1.0, 1.0]) >= -1e-12
 
     @given(st.floats(min_value=EPS, max_value=1.0 - EPS))
     def test_zero_iff_equal(self, p):
-        assert abs(kl_term(p, p) + kl_term(1.0 - p, 1.0 - p)) < 1e-12
+        assert abs(kl_pair(p, p, [1.0, 1.0])) < 1e-12
 
 
 class TestCosine:
@@ -111,9 +119,6 @@ class TestCosine:
         unit = np.array([1.0, 0.0, 0.0, 0.0])
         assert cosine_sim(tiny, unit) == expected
         assert cosine_sim(unit, tiny) == expected
-
-    def test_one_d_gives_float(self):
-        assert type(cosine_sim(np.array([1.0, 0]), np.array([1.0, 1.0]))) is float
 
     def test_last_axis_mismatch(self):
         with pytest.raises(ValueError):

@@ -11,9 +11,11 @@ otherwise break `perfbench/run.py --trace 1` only when the benchmark runs;
 here it fails the suite. Both modules are loaded from their
 files and only read, and `perfbench/selftest.py` runs unchanged in its own
 process, so a change that blinds one of the benchmark's checks fails here
-too.
+too. A top-level function or class that neither the package nor the tracer
+names is dead code, and fails here as well.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fedalign"
 
 
 def load(name):
@@ -52,6 +55,28 @@ def test_every_patch_resolves(tracing):
         if not callable(getattr(importlib.import_module(f"fedalign.{mod}"), attr, None))
     ]
     assert not missing, f"tracer patches names the package lacks: {missing}"
+
+
+def test_every_definition_is_used(tracing):
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {attr for _, attr, _ in tracing.PATCHES}
+    # The checkpoint reader: nothing in the package reads a checkpoint back,
+    # the tests round-trip `save_checkpoint` through it.
+    used.add("load_checkpoint")
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = [
+        f"{name[:-3]}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    unused = [d for d in defined if d.split(".", 1)[1] not in used]
+    assert not unused, f"defined under src/ but used by neither src/ nor the tracer: {unused}"
 
 
 def test_backward_lam_is_fourth_positional():
