@@ -2,7 +2,10 @@
 
 All math is float64. Every log/division denominator in the codebase is
 floored at EPS; vectors with norm below NORM_FLOOR are treated as zero
-(no consensus) rather than normalized.
+(no consensus) rather than normalized. Cosines come from a Gram product,
+which sums in BLAS's blocked order: an entry can differ from the one-pair
+dot's result in its last bits; the all-pairs matrix is exactly symmetric
+and does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,41 +18,37 @@ EPS = 1e-8
 # Below this norm a vector counts as zero for similarity purposes.
 NORM_FLOOR = 1e-12
 
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot over the last axis, broadcast over the leading axes.
-
-    numpy's matmul hands each (1, P) @ (P, 1) core to the same BLAS dot
-    routine as the one-vector `a @ b` and `np.linalg.norm`, so every entry
-    is bit-identical to the scalar computation. A Gram product (gemm) would
-    sum in a different order."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+# OpenBLAS computes the rows of a product that fall outside its kernel's
+# full blocks with an edge kernel that rounds differently, and which rows
+# those are depends on how the product is split across threads. Zero rows
+# up to a multiple of this keep every row in a full block (the Haswell
+# kernel's blocks are 8 rows), so cosine_sim's bits do not depend on the
+# thread count.
+GRAM_ROW_BLOCK = 16
 
 
-def norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis: sqrt of each row's self-dot, the
-    same bits as `np.linalg.norm` of that row."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sqrt(_dot(x, x))
+def cosine_sim(x: np.ndarray) -> np.ndarray:
+    """All-pairs cosine similarity of the rows of x (N, P), as (N, N); 0
+    where either row's norm is below NORM_FLOOR.
 
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity over the last axis of `a` and `b` (..., P), with
-    the leading axes broadcast; 0 where either norm is below NORM_FLOOR.
-
-    Each row's norm is computed once, so `cosine_sim(x[:, None], x[None])`
-    gives all N^2 pairs of the rows of x.
+    One Gram product `x @ x.T` gives every dot, and its diagonal the
+    squared norms. numpy hands a product with its own transpose to BLAS
+    syrk, which computes one triangle and mirrors it, so each off-diagonal
+    pair is computed once and the result is exactly symmetric.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1:] != b.shape[-1:]:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = norm(a)
-    nb = norm(b)
-    dot = _dot(a, b)
-    live = ~((na < NORM_FLOOR) | (nb < NORM_FLOOR))
-    cos = np.divide(dot, na * nb, out=np.zeros(dot.shape), where=live)
-    return np.clip(cos, -1.0, 1.0)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected (N, P) rows, got shape {x.shape}")
+    n = x.shape[0]
+    padded = np.zeros((-(-n // GRAM_ROW_BLOCK) * GRAM_ROW_BLOCK, x.shape[1]))
+    padded[:n] = x
+    gram = (padded @ padded.T)[:n, :n]
+    nrm = np.sqrt(np.diagonal(gram))
+    live = nrm >= NORM_FLOOR
+    cos = np.divide(
+        gram, np.outer(nrm, nrm), out=np.zeros(gram.shape), where=live[:, None] & live[None, :]
+    )
+    return np.clip(cos, -1.0, 1.0, out=cos)
 
 
 def sigmoid(x) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .numeric import NORM_FLOOR, cosine_sim, norm, sigmoid
+from .numeric import NORM_FLOOR, cosine_sim, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -87,21 +87,20 @@ def pairwise_semantics(
     """Pairwise semantic similarity S and direction consensus D per expert.
 
     S compares the clients' mu rows (S, N, H), D their `model.expert_rows`
-    of the stacked update; each expert takes one stacked `cosine_sim` call
-    per quantity over all N^2 client pairs. Any pair where either mu is
-    empty-flagged (mu_empty is (S, N)) or either delta is zero is excluded
-    from consensus: both entries are 0.
+    of the stacked update; each expert takes one Gram-form `cosine_sim`
+    call per quantity. Any pair where either mu is empty-flagged (mu_empty
+    is (S, N)) or either delta is zero is excluded from consensus: both
+    entries are 0. A zero delta row is the one with a zero self-cosine.
     """
     s, n = mu_empty.shape
     sim = np.empty((s, n, n))
     dcons = np.empty((s, n, n))
     for e in range(s):
-        rows = M.expert_rows(deltas, np.s_[:, e])  # (N, P)
-        valid = ~mu_empty[e] & (norm(rows) >= NORM_FLOOR)
+        d = cosine_sim(M.expert_rows(deltas, np.s_[:, e]))
+        valid = ~mu_empty[e] & (np.diagonal(d) > 0.0)
         pair = valid[:, None] & valid[None, :]
-        x = mu[e]
-        sim[e] = np.where(pair, cosine_sim(x[:, None, :], x[None, :, :]), 0.0)
-        dcons[e] = np.where(pair, cosine_sim(rows[:, None, :], rows[None, :, :]), 0.0)
+        sim[e] = np.where(pair, cosine_sim(mu[e]), 0.0)
+        dcons[e] = np.where(pair, d, 0.0)
     return sim, dcons
 
 

@@ -1,9 +1,10 @@
 """Test tools: builders for client updates (a `ModelParams` of deltas made
 from per-expert rows, and the model a delta leads to), a container for one
 client's routing statistics and the stacked arrays the server takes from
-per-client uploads, row scales around NORM_FLOOR for property tests, a plain
-softmax for building inputs, `forward`'s routing softmax of chosen gate
-scores, and the central finite-difference gradient checker."""
+per-client uploads, row scales around NORM_FLOOR for property tests, the
+`np.longdouble` conversion for 80-bit references and the cosine's rounding
+bound, a plain softmax for building inputs, `forward`'s routing softmax of
+chosen gate scores, and the central finite-difference gradient checker."""
 
 from collections import namedtuple
 from types import SimpleNamespace
@@ -16,6 +17,24 @@ from fedalign.numeric import NORM_FLOOR
 # Row scales that put norms at zero, on both sides of NORM_FLOOR, and well
 # above it.
 NORM_SCALES = (0.0, 0.3 * NORM_FLOOR, NORM_FLOOR, 3 * NORM_FLOOR, 1.0, 1e5)
+
+
+def extended(x):
+    """x as `np.longdouble`, checked to be wider than float64 (the x87 80-bit
+    format, eps 1.1e-19), so an oracle run on it is an accurate reference."""
+    assert np.finfo(np.longdouble).eps < 1e-18, "np.longdouble is no wider than float64"
+    return np.asarray(x, dtype=np.longdouble)
+
+
+def cosine_error_bound(p):
+    """Largest float64 error of a cosine of length-p vectors computed as
+    dot / (norm * norm), in any summation order. With u = eps / 2, each dot
+    is off by at most p*u |a||b| (Cauchy-Schwarz) and each squared norm by
+    p*u relative; the square roots, the product and the division add 4u
+    relative. To first order the cosine is off by at most (2p + 4)u =
+    (p + 2) eps; one eps more covers the second-order terms and the 80-bit
+    reference's own rounding."""
+    return (p + 3) * np.finfo(np.float64).eps
 
 
 def expert_delta(rows, like=None):

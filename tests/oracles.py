@@ -163,33 +163,39 @@ NORM_FLOOR = 1e-12
 
 
 def cosine_sim_scalar(a, b):
-    """Reference for the stacked `numeric.cosine_sim`: one pair of vectors,
-    0 if either norm is below 1e-12, else the clipped cosine."""
+    """Reference for the Gram-form `numeric.cosine_sim`: one pair of
+    vectors, 0 if either norm is below 1e-12, else the clipped cosine.
+    Computed in the inputs' dtype, at least float64, so `np.longdouble`
+    inputs give an 80-bit reference."""
     import numpy as np
 
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+    dtype = np.result_type(np.asarray(a), np.asarray(b), np.float64)
+    a = np.asarray(a, dtype=dtype).ravel()
+    b = np.asarray(b, dtype=dtype).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na < NORM_FLOOR or nb < NORM_FLOOR:
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+        return dtype.type(0.0)
+    return np.clip(a @ b / (na * nb), -1.0, 1.0)
 
 
 def pairwise_semantics_loop(stats, deltas):
     """Reference for `server.pairwise_semantics`: the double loop over client
     pairs i <= j, one `cosine_sim_scalar` call per pair and quantity, both
     entries set to 0 where either client's mu is empty or update row has
-    norm below 1e-12."""
+    norm below 1e-12. Computed in the dtype of the mu rows and update
+    blocks, at least float64; `deltas` need only carry the four expert
+    blocks, so both may be `np.longdouble`."""
     import numpy as np
 
     n = len(stats)
     s = stats[0].p_bar.size
-    sim = np.zeros((s, n, n))
-    dcons = np.zeros((s, n, n))
     flats = [flat_expert_rows(d) for d in deltas]
+    dtype = np.result_type(stats[0].mu, flats[0], np.float64)
+    sim = np.zeros((s, n, n), dtype=dtype)
+    dcons = np.zeros((s, n, n), dtype=dtype)
     for e in range(s):
         rows = [f[e] for f in flats]
         valid = [

@@ -112,7 +112,7 @@ def test_criterion_2_formula_oracles(report):
     kl, _ = M.masked_kl(np.array([[0.8, 0.2]]), np.array([0.2, 0.8]), np.array([1.0, 0.0]), 2)
     checks.append(abs(kl[0] - oracles.KL_TERM_08_02) < 1e-9)
     checks.append(abs(sigmoid(-math.log(3.0)) - oracles.SIGMOID_NEG_LN3) < 1e-9)
-    checks.append(abs(cosine_sim(np.array([1.0, 0]), np.array([1.0, 1.0]))
+    checks.append(abs(cosine_sim(np.array([[1.0, 0], [1.0, 1.0]]))[0, 1]
                       - oracles.COS_UNIT_DIAG) < 1e-9)
     checks.append(np.allclose(
         C.compute_p_bar(type("T", (), {"topk_probs": np.array(

@@ -1,20 +1,33 @@
 """Numeric kernel tests: worked examples plus hypothesis properties, and the
-stacked cosine kernel against the one-pair oracle. The routing softmax and
-the KL summand are checked where the program computes them: `forward`'s
-full routing softmax and `model.masked_kl` with every expert on the mask."""
+Gram-form cosine kernel against the one-pair oracle in float64 and in
+`np.longdouble`. The routing softmax and the KL summand are checked where
+the program computes them: `forward`'s full routing softmax and
+`model.masked_kl` with every expert on the mask."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import fedalign
 import oracles
-from helpers import NORM_SCALES, gate_softmax, grad_check, softmax
+from helpers import (
+    NORM_SCALES,
+    cosine_error_bound,
+    extended,
+    gate_softmax,
+    grad_check,
+    softmax,
+)
 from fedalign.model import masked_kl
-from fedalign.numeric import EPS, NORM_FLOOR, cosine_sim, norm, sigmoid
+from fedalign.numeric import EPS, NORM_FLOOR, cosine_sim, sigmoid
 
 STAT_TOL = 1e-9
 
@@ -72,31 +85,49 @@ class TestKlTerm:
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=EPS, max_value=1.0),
     )
+    @example(p=1.0 - 3.7e-9, q=1.0)
+    @example(p=1.0 - 1e-8, q=1.0)
     def test_masked_sum_nonnegative(self, p, q):
-        # Over a common support {selected, rest} the summands form a full KL.
-        assert kl_pair(p, q, [1.0, 1.0]) >= -1e-12
+        # Over a common support {selected, rest} the summands form a KL
+        # against the EPS-floored q, whose entries sum to Z <= 1 + EPS (at
+        # q = 1 the second entry is raised from 0 to EPS). That sum is
+        # KL(p || q / Z) - log Z >= -log(1 + EPS), so p just below 1 against
+        # q = 1 reads about -EPS. The further 1e-12 is rounding allowance:
+        # each summand is at most log(1 / EPS) ~ 18.4 in size, and a p within
+        # 1e-8 of 1 carries its own representation error of ~1e-16 into log(p).
+        assert kl_pair(p, q, [1.0, 1.0]) >= -math.log1p(EPS) - 1e-12
 
     @given(st.floats(min_value=EPS, max_value=1.0 - EPS))
     def test_zero_iff_equal(self, p):
         assert abs(kl_pair(p, p, [1.0, 1.0])) < 1e-12
 
 
+def pair_cos(a, b):
+    """`cosine_sim` of the two-row stack [a, b], both off-diagonal entries."""
+    out = cosine_sim(np.stack([a, b]))
+    return out[0, 1], out[1, 0]
+
+
 class TestCosine:
     def test_identity(self):
-        assert cosine_sim(np.array([1.0, 2, 3]), np.array([1.0, 2, 3])) == 1.0
+        assert pair_cos(np.array([1.0, 2, 3]), np.array([1.0, 2, 3])) == (1.0, 1.0)
 
     def test_orthogonal(self):
-        assert cosine_sim(np.array([1.0, 0]), np.array([0.0, 1])) == 0.0
+        assert pair_cos(np.array([1.0, 0]), np.array([0.0, 1])) == (0.0, 0.0)
 
     def test_antipodal(self):
-        assert cosine_sim(np.array([1.0, 0]), np.array([-1.0, 0])) == -1.0
+        assert pair_cos(np.array([1.0, 0]), np.array([-1.0, 0])) == (-1.0, -1.0)
 
     def test_zero_vector(self):
-        assert cosine_sim(np.zeros(3), np.array([1.0, 2, 3])) == 0.0
+        assert pair_cos(np.zeros(3), np.array([1.0, 2, 3])) == (0.0, 0.0)
 
-    def test_length_mismatch(self):
+    def test_rejects_vector(self):
         with pytest.raises(ValueError):
-            cosine_sim(np.zeros(3), np.zeros(4))
+            cosine_sim(np.zeros(3))
+
+    def test_rejects_3d(self):
+        with pytest.raises(ValueError):
+            cosine_sim(np.zeros((2, 3, 4)))
 
     @given(
         hnp.arrays(np.float64, 4, elements=st.floats(-10, 10)),
@@ -109,43 +140,57 @@ class TestCosine:
         # every norm stays well clear of the floor.
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
         assume(min(na, k * na, nb) >= 1e3 * NORM_FLOOR)
-        assert abs(cosine_sim(k * a, b) - cosine_sim(a, b)) < 1e-12
+        assert abs(pair_cos(k * a, b)[0] - pair_cos(a, b)[0]) < 1e-12
 
     @pytest.mark.parametrize("scale, expected", [(0.5, 0.0), (1.0, 1.0), (2.0, 1.0)])
     def test_zero_below_floor(self, scale, expected):
         # A norm of 0.5 * NORM_FLOOR counts as zero; at or above the floor the
-        # vector is normalized. Either argument can be the short one.
+        # vector is normalized. Either row can be the short one.
         tiny = np.array([scale * NORM_FLOOR, 0.0, 0.0, 0.0])
         unit = np.array([1.0, 0.0, 0.0, 0.0])
-        assert cosine_sim(tiny, unit) == expected
-        assert cosine_sim(unit, tiny) == expected
+        assert pair_cos(tiny, unit) == (expected, expected)
+        assert pair_cos(unit, tiny) == (expected, expected)
 
-    def test_last_axis_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_sim(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_norm_matches_linalg(self):
-        x = np.random.default_rng(0).normal(size=(5, 37))
-        assert np.array_equal(norm(x), [np.linalg.norm(row) for row in x])
+    def test_bits_independent_of_blas_threads(self):
+        # Row counts on both sides of multiples of 8 and 16, at the width of
+        # fedalign-wide's update rows, where OpenBLAS splits the Gram
+        # product across threads.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from fedalign.numeric import cosine_sim\n"
+            "rng = np.random.default_rng(0)\n"
+            "h = hashlib.sha256()\n"
+            "for n in range(96, 132):\n"
+            "    h.update(cosine_sim(rng.normal(size=(n, 2112))).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(fedalign.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        digests = set()
+        for n in sorted({1, min(os.cpu_count() or 1, 4)}):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(n)},
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_stacked_matches_scalar_oracle(self, data):
         x = data.draw(stacked_rows(), label="x")
-        p = x.shape[1]
-        y = data.draw(stacked_rows(p), label="y")
-        # Every pair of rows, broadcast (N, 1, P) against (1, M, P).
-        got = cosine_sim(x[:, None, :], y[None, :, :])
-        want = [[oracles.cosine_sim_scalar(a, b) for b in y] for a in x]
-        assert got.shape == (len(x), len(y))
-        assert np.array_equal(got, want)
-        # Row by row on equal leading shapes, and all pairs of x with itself.
-        m = min(len(x), len(y))
-        rowwise = cosine_sim(x[:m], y[:m])
-        assert np.array_equal(rowwise, [oracles.cosine_sim_scalar(a, b) for a, b in zip(x, y)])
-        square = cosine_sim(x[:, None, :], x[None, :, :])
-        assert np.array_equal(square, square.T)
-        assert np.array_equal(square, [[oracles.cosine_sim_scalar(a, b) for b in x] for a in x])
+        x = np.concatenate([x, data.draw(stacked_rows(x.shape[1]), label="y")])
+        got = cosine_sim(x)
+        assert got.shape == (len(x), len(x))
+        assert np.array_equal(got, got.T)
+        # The Gram product sums in its own order, so against the one-pair
+        # float64 oracle the entries agree to 1e-12, not bit for bit.
+        want = [[oracles.cosine_sim_scalar(a, b) for b in x] for a in x]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        wide = extended(x)
+        exact = [[oracles.cosine_sim_scalar(a, b) for b in wide] for a in wide]
+        assert np.max(np.abs(got - np.array(exact))) <= cosine_error_bound(x.shape[1])
 
 
 @st.composite

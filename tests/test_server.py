@@ -3,6 +3,7 @@ pairwise semantics, adaptive thresholds, gated expert aggregation, and the
 permutation/homogeneity properties."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import NORM_SCALES, Stats, expert_delta, stack_uploads
-from fedalign.model import MoEConfig, expert_rows, init_params
+from helpers import (
+    NORM_SCALES,
+    Stats,
+    cosine_error_bound,
+    expert_delta,
+    extended,
+    stack_uploads,
+)
+from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_rows, init_params
 from fedalign.server import (
     adaptive_threshold,
     aggregate_experts,
@@ -148,8 +156,8 @@ class TestPairwiseSemantics:
         sim, dcons = two_client_semantics(
             rng.normal(size=2), rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
         )
-        assert np.allclose(sim, np.swapaxes(sim, 1, 2), atol=1e-12)
-        assert np.allclose(dcons, np.swapaxes(dcons, 1, 2), atol=1e-12)
+        assert np.array_equal(sim, np.swapaxes(sim, 1, 2))
+        assert np.array_equal(dcons, np.swapaxes(dcons, 1, 2))
 
     def test_empty_mu_excludes_pair(self):
         sim, dcons = two_client_semantics(
@@ -163,9 +171,10 @@ class TestPairwiseSemantics:
 
 
 class TestPairwiseSemanticsOracle:
-    """The stacked kernel against the old double loop over client pairs,
-    compared exactly, on zero rows, empty mu, norms on both sides of
-    NORM_FLOOR, duplicate clients and N=1."""
+    """The Gram-form kernel against the old double loop over client pairs,
+    on zero rows, empty mu, norms on both sides of NORM_FLOOR, duplicate
+    clients and N=1: within 1e-12 of the loop in float64, and within the
+    cosine's rounding bound of the loop run in `np.longdouble`."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -200,10 +209,19 @@ class TestPairwiseSemanticsOracle:
         up = stack_uploads(stats, deltas)
         sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
         want_sim, want_dcons = oracles.pairwise_semantics_loop(stats, deltas)
-        assert np.array_equal(sim, want_sim)
-        assert np.array_equal(dcons, want_dcons)
+        np.testing.assert_allclose(sim, want_sim, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dcons, want_dcons, rtol=0, atol=1e-12)
         assert np.array_equal(sim, sim.transpose(0, 2, 1))
         assert np.array_equal(dcons, dcons.transpose(0, 2, 1))
+
+        wide_stats = [stat._replace(mu=extended(stat.mu)) for stat in stats]
+        wide_deltas = [
+            SimpleNamespace(**{b: extended(getattr(d, b)) for b in EXPERT_BLOCKS})
+            for d in deltas
+        ]
+        exact_sim, exact_dcons = oracles.pairwise_semantics_loop(wide_stats, wide_deltas)
+        assert np.max(np.abs(sim - exact_sim)) <= cosine_error_bound(h)
+        assert np.max(np.abs(dcons - exact_dcons)) <= cosine_error_bound(p)
 
 
 class TestAdaptiveThreshold:
