@@ -28,7 +28,6 @@ ABLATION_FLAGS = (
     "no_consistency_weighting",
     "no_adaptive_alpha",
     "no_direction_consensus",
-    "fixed_threshold",
     "no_gating_broadcast",
     "uniform_gamma",
 )
@@ -96,8 +95,7 @@ class ExperimentConfig:
                 errors.append(f"{name} must be {'>' if strict else '>='} {low}")
             elif kind is int and value >= INT_LIMIT:
                 errors.append(f"{name} must be < 2**32, got {value}")
-        tau_ok = self.fixed_tau is None or _is_type(self.fixed_tau, float)
-        if not tau_ok:
+        if self.fixed_tau is not None and not _is_type(self.fixed_tau, float):
             errors.append(f"fixed_tau must be a finite number or null, got {self.fixed_tau!r}")
         if not isinstance(self.ablations, tuple):
             errors.append(f"ablations must be a list of flag names, got {self.ablations!r}")
@@ -105,10 +103,6 @@ class ExperimentConfig:
             for flag in self.ablations:
                 if flag not in ABLATION_FLAGS:
                     errors.append(f"unknown ablation flag {flag!r}")
-            if self.ablated("fixed_threshold") and self.fixed_tau is None:
-                errors.append("fixed_threshold ablation requires fixed_tau")
-            elif tau_ok and self.fixed_tau is not None and not self.ablated("fixed_threshold"):
-                errors.append("fixed_tau is only used with the fixed_threshold ablation")
         counts = (self.num_clients, self.num_classes, self.samples_per_class)
         if all(_is_type(v, int) and v >= 1 for v in counts):
             pool = self.num_classes * self.samples_per_class
@@ -328,16 +322,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             omega = np.full((n, s), 1.0 / n)
             p_g_new = mean_p / mean_p.sum()
 
-        sim, dcons = S.pairwise_semantics(mu, mu_empty, deltas)
-        tau, mean_sim, disp = S.adaptive_threshold(sim, cfg.beta)
-        if cfg.ablated("fixed_threshold"):
-            tau = np.full(s, float(cfg.fixed_tau))
-        gamma = S.gated_weights(
-            sim, dcons, tau, use_direction=not cfg.ablated("no_direction_consensus")
-        )
+        # Semantic gating one expert at a time: only its (N, N) matrices
+        # are held, and gamma is kept as its (S, N) row sums.
+        tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
+        for e in range(s):
+            sim, dcons = S.pairwise_semantics(
+                mu[e], mu_empty[e], M.expert_rows(deltas, np.s_[:, e])
+            )
+            tau[e], mean_sim[e], disp[e] = S.adaptive_threshold(sim, cfg.beta)
+            if cfg.fixed_tau is not None:
+                tau[e] = cfg.fixed_tau
+            gamma = S.gated_weights(sim, dcons, tau[e], not cfg.ablated("no_direction_consensus"))
+            gamma_rows[e] = gamma.sum(axis=1)
 
         if is_align and not cfg.ablated("uniform_gamma"):
-            w_experts, updated = S.expert_weights(gamma)
+            w_experts, updated = S.expert_weights(gamma_rows)
         else:
             # Degenerate/baseline path: size-weighted averaging of every expert.
             w_experts = np.tile(size_w, (s, 1))
@@ -368,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             S.AggregationReport(
                 round_index=t,
                 omega=omega,
-                gamma_row_sums=gamma.sum(axis=2),
+                gamma_row_sums=gamma_rows,
                 mean_sim=mean_sim,
                 dispersion=disp,
                 tau=tau,

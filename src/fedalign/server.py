@@ -3,10 +3,13 @@ global routing reference, semantic-aware expert aggregation with adaptive
 thresholds, and size-weighted averaging for the remaining blocks.
 
 Every input carries one client axis of length N, in client-id order: the
-routing masses and margins are (N, S), the mu rows (S, N, H), and the
-round's updates one `ModelParams` of deltas whose blocks lead with N. Every
-block is aggregated by the one kernel `weighted_average`, which accumulates
-in ascending client order, so results are bitwise reproducible.
+routing masses and margins are (N, S), and the round's updates one
+`ModelParams` of deltas whose blocks lead with N. Semantic gating works on
+one expert at a time: its mu rows (N, H), its update rows (N, P) and its
+(N, N) similarity, consensus and gate matrices; only gamma's (S, N) row
+sums reach `expert_weights`. Every block is aggregated by the one kernel
+`weighted_average`, which accumulates in ascending client order, so results
+are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -82,68 +85,60 @@ def global_routing(p_bar: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def pairwise_semantics(
-    mu: np.ndarray, mu_empty: np.ndarray, deltas: M.ModelParams
+    mu_e: np.ndarray, mu_empty_e: np.ndarray, rows_e: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise semantic similarity S and direction consensus D per expert.
+    """One expert's pairwise semantic similarity S and direction consensus
+    D, each (N, N).
 
-    S compares the clients' mu rows (S, N, H), D their `model.expert_rows`
-    of the stacked update; each expert takes one Gram-form `cosine_sim`
-    call per quantity. Any pair where either mu is empty-flagged (mu_empty
-    is (S, N)) or either delta is zero is excluded from consensus: both
-    entries are 0. A zero delta row is the one with a zero self-cosine.
+    S compares the clients' mu rows for the expert (N, H), D their update
+    rows (N, P), `model.expert_rows(deltas, np.s_[:, e])`; each takes one
+    Gram-form `cosine_sim` call. Any pair where either mu is empty-flagged
+    (mu_empty_e is (N,)) or either update row is zero is excluded from
+    consensus: both entries are 0. A zero update row is the one with a
+    zero self-cosine.
     """
-    s, n = mu_empty.shape
-    sim = np.empty((s, n, n))
-    dcons = np.empty((s, n, n))
-    for e in range(s):
-        d = cosine_sim(M.expert_rows(deltas, np.s_[:, e]))
-        valid = ~mu_empty[e] & (np.diagonal(d) > 0.0)
-        pair = valid[:, None] & valid[None, :]
-        sim[e] = np.where(pair, cosine_sim(mu[e]), 0.0)
-        dcons[e] = np.where(pair, d, 0.0)
-    return sim, dcons
+    d = cosine_sim(rows_e)
+    valid = ~mu_empty_e & (np.diagonal(d) > 0.0)
+    pair = valid[:, None] & valid[None, :]
+    return np.where(pair, cosine_sim(mu_e), 0.0), np.where(pair, d, 0.0)
 
 
-def adaptive_threshold(
-    pairwise_sim: np.ndarray, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-expert threshold tau = M - beta * Sigma over all N^2 pairs,
-    diagonal self-pairs included; Sigma is the population std."""
+def adaptive_threshold(sim: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """One expert's threshold tau = M - beta * Sigma over all N^2 pairs of
+    its (N, N) similarities, diagonal self-pairs included; Sigma is the
+    population std. Returns (tau, M, Sigma)."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    s = pairwise_sim.shape[0]
-    mean_sim = pairwise_sim.reshape(s, -1).mean(axis=1)
-    disp = np.sqrt(((pairwise_sim.reshape(s, -1) - mean_sim[:, None]) ** 2).mean(axis=1))
+    mean_sim = sim.mean()
+    disp = np.sqrt(((sim - mean_sim) ** 2).mean())
     return mean_sim - beta * disp, mean_sim, disp
 
 
 def gated_weights(
-    pairwise_sim: np.ndarray,
-    dcons: np.ndarray,
-    tau: np.ndarray,
-    use_direction: bool = True,
+    sim: np.ndarray, dcons: np.ndarray, tau: float, use_direction: bool = True
 ) -> np.ndarray:
-    """Region-conditioned gate: gamma = sigmoid(S - tau) * max(0, D).
+    """One expert's region-conditioned gate gamma = sigmoid(S - tau) *
+    max(0, D), (N, N).
 
     use_direction=False drops the direction-consensus factor (ablation).
     """
-    gate = sigmoid(pairwise_sim - tau[:, None, None])
+    gate = sigmoid(sim - tau)
     if use_direction:
         gate = gate * np.maximum(0.0, dcons)
     return gate
 
 
-def expert_weights(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-expert client weights w_i(e) = sum_j gamma_ij / sum_ij gamma_ij.
+def expert_weights(gamma_row_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-expert client weights w_i(e) = sum_j gamma_ij / sum_ij gamma_ij
+    from gamma's row sums (S, N).
 
     Returns (weights (S, N), updated (S,) bool); experts whose gamma mass is
     below NORM_FLOOR are flagged not-updated (no consensus, no update).
     """
-    row = gamma.sum(axis=2)  # (S, N)
-    total = row.sum(axis=1)  # (S,)
+    total = gamma_row_sums.sum(axis=1)  # (S,)
     updated = total >= NORM_FLOOR
-    w = np.zeros_like(row)
-    w[updated] = row[updated] / total[updated, None]
+    w = np.zeros_like(gamma_row_sums)
+    w[updated] = gamma_row_sums[updated] / total[updated, None]
     return w, updated
 
 

@@ -4,10 +4,13 @@ Everything here is computed with plain ``math`` arithmetic, written out
 step by step and never calling into the package, so the test suite checks
 the implementation against an independent derivation rather than against
 itself. Statistics-level values are asserted to 1e-9 by the tests;
-training-touching values to 1e-6. The one exception is
-`local_round_per_block`, a reference for the training loop alone: it calls
+training-touching values to 1e-6. The two exceptions call into the
+package for its kernels and redo only what is around them:
+`local_round_per_block`, a reference for the training loop alone, calls
 the package's forward, backward and statistics, and redoes everything
-around them one block at a time.
+around them one block at a time; `semantic_chain_batched`, a reference for
+the server's one-expert-at-a-time gating, calls the package's `cosine_sim`
+and `sigmoid` and redoes the rest on (S, N, N) arrays.
 """
 
 import math
@@ -210,6 +213,57 @@ def pairwise_semantics_loop(stats, deltas):
                     sim[e, i, j] = sim[e, j, i] = sv
                     dcons[e, i, j] = dcons[e, j, i] = dv
     return sim, dcons
+
+
+def semantic_chain_batched(mu, mu_empty, deltas, beta, fixed_tau=None, use_direction=True):
+    """Reference for the server's semantic gating, which takes one expert at
+    a time: the whole chain on (S, N, N) arrays, as the server once ran it.
+    Pairwise semantics (both entries 0 where either mu is empty or either
+    update row is zero), then per expert tau = M - beta * Sigma over all
+    N^2 entries (every tau replaced by fixed_tau when set), the gate
+    sigmoid(S - tau) * max(0, D) (the D factor dropped without
+    use_direction), gamma's row sums over the partner axis and the weights
+    w_i(e) = row_i(e) / sum_i row_i(e), experts below NORM_FLOOR not
+    updated. Takes mu (S, N, H), mu_empty (S, N) and the stacked deltas
+    (blocks lead with N); the cosines and the gate come from the package's
+    kernels, so slice e of each output is bit-identical to a correct
+    per-expert split. Returns a SimpleNamespace of sim, dcons, tau,
+    mean_sim, disp, gamma, gamma_row_sums, weights and updated."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from fedalign.numeric import cosine_sim, sigmoid
+
+    s, n = mu_empty.shape
+    sim = np.empty((s, n, n))
+    dcons = np.empty((s, n, n))
+    for e in range(s):
+        rows = np.concatenate(
+            [getattr(deltas, b)[:, e].reshape(n, -1) for b in EXPERT_BLOCKS], axis=1
+        )
+        d = cosine_sim(rows)
+        valid = ~mu_empty[e] & (np.diagonal(d) > 0.0)
+        pair = valid[:, None] & valid[None, :]
+        sim[e] = np.where(pair, cosine_sim(mu[e]), 0.0)
+        dcons[e] = np.where(pair, d, 0.0)
+    mean_sim = sim.reshape(s, -1).mean(axis=1)
+    disp = np.sqrt(((sim.reshape(s, -1) - mean_sim[:, None]) ** 2).mean(axis=1))
+    tau = mean_sim - beta * disp
+    if fixed_tau is not None:
+        tau = np.full(s, float(fixed_tau))
+    gamma = sigmoid(sim - tau[:, None, None])
+    if use_direction:
+        gamma = gamma * np.maximum(0.0, dcons)
+    row = gamma.sum(axis=2)
+    total = row.sum(axis=1)
+    updated = total >= NORM_FLOOR
+    weights = np.zeros_like(row)
+    weights[updated] = row[updated] / total[updated, None]
+    return SimpleNamespace(
+        sim=sim, dcons=dcons, tau=tau, mean_sim=mean_sim, disp=disp, gamma=gamma,
+        gamma_row_sums=row, weights=weights, updated=updated,
+    )
 
 
 def compute_mu_loop(scores, hidden):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import Stats, expert_delta, gate_softmax, grad_check, stack_uploads
+from helpers import (
+    Stats, expert_delta, gate_softmax, grad_check, semantic_gating, stack_uploads
+)
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -134,17 +136,14 @@ def test_criterion_2_formula_oracles(report):
     up = stack_uploads([stats([0.6, 0.4], [0.3, 0.1]), stats([0.2, 0.8], [0.1, 0.1])])
     omega = S.consistency_weights(up.p_bar, up.margin)
     checks.append(np.allclose(omega[:, 0], oracles.OMEGA_TWO_CLIENTS, atol=1e-9))
-    tau, mean_sim, disp = S.adaptive_threshold(
-        np.array([[[1.0, 0.5], [0.5, 1.0]]]), 1.0
-    )
+    tau, mean_sim, disp = S.adaptive_threshold(np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0)
     checks.append(
-        abs(mean_sim[0] - oracles.TAU_MEAN) < 1e-9
-        and abs(disp[0] - oracles.TAU_STD) < 1e-9
-        and abs(tau[0] - oracles.TAU_BETA1) < 1e-9
+        abs(mean_sim - oracles.TAU_MEAN) < 1e-9
+        and abs(disp - oracles.TAU_STD) < 1e-9
+        and abs(tau - oracles.TAU_BETA1) < 1e-9
     )
-    gamma = S.gated_weights(np.full((1, 1, 1), math.log(3.0)),
-                            np.full((1, 1, 1), 0.5), np.zeros(1))
-    checks.append(abs(gamma[0, 0, 0] - oracles.GAMMA_LN3_HALF) < 1e-9)
+    gamma = S.gated_weights(np.full((1, 1), math.log(3.0)), np.full((1, 1), 0.5), 0.0)
+    checks.append(abs(gamma[0, 0] - oracles.GAMMA_LN3_HALF) < 1e-9)
 
     # Training-touching oracle at 1e-6: dense-mixture equivalence when k=S.
     config = M.MoEConfig(3, 4, 3, 3, 3, 4)
@@ -200,9 +199,8 @@ def test_criterion_4_homogeneity_fixed_point(report):
         up = stack_uploads(stats, deltas)
         omega = S.consistency_weights(up.p_bar, up.margin)
         p_g = S.global_routing(up.p_bar, omega)
-        sim, dcons = S.pairwise_semantics(up.mu, up.mu_empty, up.deltas)
-        tau, _, _ = S.adaptive_threshold(sim, 0.5)
-        w, updated = S.expert_weights(S.gated_weights(sim, dcons, tau))
+        tau, _, _, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
+        w, updated = S.expert_weights(rows)
         update = np.einsum("en,enp->ep", w,
                            np.stack([M.expert_rows(dl) for dl in deltas], axis=1))
         worst = max(
@@ -236,9 +234,8 @@ def test_criterion_5_permutation_equivariance(report):
         up = stack_uploads(st, dl)
         omega = S.consistency_weights(up.p_bar, up.margin)
         p_g = S.global_routing(up.p_bar, omega)
-        sim, dcons = S.pairwise_semantics(up.mu, up.mu_empty, up.deltas)
-        tau, _, _ = S.adaptive_threshold(sim, 0.5)
-        w, updated = S.expert_weights(S.gated_weights(sim, dcons, tau))
+        tau, _, _, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
+        w, updated = S.expert_weights(rows)
         # Canonical accumulation: ascending original client id.
         inv = np.argsort(order)
         agg = np.zeros_like(M.expert_rows(dl[0]))

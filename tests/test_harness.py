@@ -1,6 +1,7 @@
 """Harness tests: config validation, seeded determinism, metrics emission,
 the CLI, and the directional round-loop properties."""
 
+import ast
 import contextlib
 import dataclasses
 import io
@@ -21,6 +22,7 @@ import fedalign
 from helpers import apply_delta
 from fedalign import client as C
 from fedalign import model as M
+from fedalign import harness
 from fedalign.cli import main as cli_main
 from fedalign.data import dirichlet_partition, generate, make_default_task
 from fedalign.harness import (
@@ -76,11 +78,10 @@ class TestConfigValidation:
         for frag in ("method", "rounds", "lr", "lam", "bogus"):
             assert frag in joined
 
-    def test_fixed_threshold_needs_tau(self):
-        cfg = ExperimentConfig(ablations=("fixed_threshold",))
-        assert any("fixed_tau" in e for e in cfg.validate())
-        cfg = ExperimentConfig(ablations=("fixed_threshold",), fixed_tau=0.5)
-        assert cfg.validate() == []
+    def test_fixed_tau_alone_selects_fixed_threshold(self):
+        assert ExperimentConfig(fixed_tau=0.5).validate() == []
+        errors = ExperimentConfig(ablations=("fixed_threshold",), fixed_tau=0.5).validate()
+        assert errors == ["unknown ablation flag 'fixed_threshold'"]
 
     def test_model_shape_errors_propagate(self):
         cfg = ExperimentConfig(top_k=9, num_experts=4)
@@ -112,13 +113,35 @@ class TestConfigValidation:
             assert ExperimentConfig(seed=seed).validate() == []
 
     def test_accepts_integers_for_floats(self):
-        assert ExperimentConfig(lr=1, fixed_tau=0, ablations=("fixed_threshold",)).validate() == []
+        assert ExperimentConfig(lr=1, fixed_tau=0).validate() == []
 
     def test_accepts_one_client_per_sample(self):
         assert ExperimentConfig(num_clients=8 * 200).validate() == []
 
     def test_ablations_must_be_a_tuple(self):
         assert any("ablations" in e for e in ExperimentConfig(ablations="uniform_gamma").validate())
+
+    def test_every_option_is_read(self):
+        # An option the run never reads is dead: a config field must be read
+        # as `cfg.<field>` or `self.<field>`, and an ablation flag as an
+        # `ablated("<flag>")` constant, in harness.py outside `validate`,
+        # which reads every field only to check it.
+        tree = ast.parse(Path(harness.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "validate":
+                node.body = []
+        attrs, flags = set(), set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("cfg", "self")):
+                attrs.add(node.attr)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "ablated" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                flags.add(node.args[0].value)
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert [f for f in fields if f not in attrs] == [], "fields harness.py never reads"
+        assert [f for f in ABLATION_FLAGS if f not in flags] == [], "flags it never reads"
 
 
 class TestChildRng:
@@ -213,6 +236,14 @@ class TestRoundLoop:
             assert 0.0 <= r.global_accuracy <= 1.0
             assert 0.0 <= r.local_accuracy_mean <= 1.0
 
+    def test_fixed_tau_written_for_every_expert_and_round(self, tmp_path):
+        cfg = tiny_config(rounds=3, fixed_tau=0.25)
+        run_experiment(cfg, out_dir=tmp_path)
+        reports = [json.loads(line) for line in
+                   (tmp_path / "aggregation.jsonl").read_text().splitlines()]
+        assert [r["round"] for r in reports] == [1, 2, 3]
+        assert all(r["tau"] == [0.25] * cfg.num_experts for r in reports)
+
     def test_determinism_byte_identical_metrics(self, tmp_path):
         cfg = tiny_config(rounds=3)
         run_experiment(cfg, out_dir=tmp_path / "a")
@@ -294,6 +325,17 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert any("learning_rate" in d for d in err["details"])
 
+    def test_ablate_fixed_threshold_is_unknown_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(dict(TINY, fixed_tau=0.5)))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                         "--ablate", "fixed_threshold"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-config",
+                       "details": ["unknown ablation flag 'fixed_threshold'"]}
+        assert not (tmp_path / "out").exists()
+
     def test_overrides(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(TINY))
@@ -349,19 +391,28 @@ class TestCli:
         assert json.loads(lines[0])["error"] == "diverged"
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
-        # Wide enough (2000-row evaluation batches) for OpenBLAS to split
-        # its matrix products across threads.
-        cfg = dict(TINY, input_dim=16, hidden_dim=32, num_experts=4, num_classes=8,
-                   samples_per_class=100, test_samples_per_class=250, rounds=2)
-        outputs = []
-        for n in sorted({1, min(os.cpu_count() or 1, 4)}):
-            proc = run_cli(tmp_path, cfg, out=f"threads{n}", OPENBLAS_NUM_THREADS=str(n))
-            assert proc.returncode == 0, proc.stderr
-            outputs.append([
-                (tmp_path / f"threads{n}" / name).read_bytes()
-                for name in ("metrics.jsonl", "summary.csv", "aggregation.jsonl", "final.ckpt")
-            ])
-        assert all(files == outputs[0] for files in outputs)
+        # The first config is wide enough (2000-row evaluation batches) for
+        # OpenBLAS to split its matrix products across threads; the second
+        # has the 100 clients of the benchmark's wide workload, so the
+        # server's (N, P) cosine products are split too.
+        configs = {
+            "wide-batches": dict(TINY, input_dim=16, hidden_dim=32, num_experts=4,
+                                 num_classes=8, samples_per_class=100,
+                                 test_samples_per_class=250, rounds=2),
+            "100-clients": dict(num_clients=100, num_experts=16, top_k=2,
+                                dirichlet_alpha=0.3, rounds=2, seed=1),
+        }
+        for name, cfg in configs.items():
+            outputs = []
+            for n in sorted({1, min(os.cpu_count() or 1, 4)}):
+                out = f"{name}-threads{n}"
+                proc = run_cli(tmp_path, cfg, out=out, OPENBLAS_NUM_THREADS=str(n))
+                assert proc.returncode == 0, proc.stderr
+                outputs.append([
+                    (tmp_path / out / f).read_bytes()
+                    for f in ("metrics.jsonl", "summary.csv", "aggregation.jsonl", "final.ckpt")
+                ])
+            assert all(files == outputs[0] for files in outputs), name
 
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -392,7 +443,8 @@ class TestCliConfigFuzz:
         ('{"lam": 1e400}', "lam"),
         ('[1]', "JSON object"),
         ('{"ablations": ["fixed_threshold"], "fixed_tau": "nan"}', "fixed_tau"),
-        ('{"fixed_tau": 0.5}', "fixed_tau"),
+        pytest.param('{"ablations": ["fixed_threshold"]}', "unknown ablation flag",
+                     id="fixed_threshold-flag"),
         ('{"ablations": 5}', "ablations"),
         (f'{{"rounds": {10**400}}}', "rounds"),
         ('{"seed": 4294967296}', "seed"),
@@ -441,26 +493,22 @@ class TestDirectionalProperties:
         # Directional, fixed seed: each single-ablation variant should not
         # beat the full method; ties within 0.5 accuracy points are logged
         # rather than failed. uniform_gamma is excluded: it is the degenerate
-        # baseline-equivalence switch, not a mechanism ablation.
-        flags = [f for f in ABLATION_FLAGS if f != "uniform_gamma"]
+        # baseline-equivalence switch, not a mechanism ablation. A fixed tau
+        # replaces the adaptive threshold.
+        variants = {f: dict(ablations=(f,)) for f in ABLATION_FLAGS if f != "uniform_gamma"}
+        variants["fixed_tau=0.5"] = dict(fixed_tau=0.5)
         configs = [dict(method="fedalign", seed=1)]
-        for f in flags:
-            kw = dict(method="fedalign", seed=1, ablations=(f,))
-            if f == "fixed_threshold":
-                kw["fixed_tau"] = 0.5
-            configs.append(kw)
+        configs += [dict(method="fedalign", seed=1, **kw) for kw in variants.values()]
         run_cache.warm(configs)
         full = run_cache.get(**configs[0]).records[-1].global_accuracy
         import logging
         log = logging.getLogger("test.ablation")
-        for kw in configs[1:]:
+        for name, kw in zip(variants, configs[1:]):
             acc = run_cache.get(**kw).records[-1].global_accuracy
             if acc > full:
                 if acc - full <= 0.005:
-                    log.info("ablation %s tied within 0.5 pts (%+.4f)",
-                             kw["ablations"][0], acc - full)
+                    log.info("ablation %s tied within 0.5 pts (%+.4f)", name, acc - full)
                 else:
                     pytest.fail(
-                        f"ablation {kw['ablations'][0]} beat full method by "
-                        f"{(acc - full) * 100:.2f} points"
+                        f"ablation {name} beat full method by {(acc - full) * 100:.2f} points"
                     )

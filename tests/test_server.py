@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,7 @@ from helpers import (
     cosine_error_bound,
     expert_delta,
     extended,
+    semantic_gating,
     stack_uploads,
 )
 from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_rows, init_params
@@ -135,39 +136,44 @@ def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
         expert_delta(np.array([d2, [1.0, 0.0]])),
     ]
     up = stack_uploads(st, deltas)
-    return pairwise_semantics(up.mu, up.mu_empty, up.deltas)
+    return expert_semantics(up, 0)
+
+
+def expert_semantics(up, e):
+    """`pairwise_semantics` of expert e, as the round loop calls it."""
+    return pairwise_semantics(up.mu[e], up.mu_empty[e], expert_rows(up.deltas, np.s_[:, e]))
 
 
 class TestPairwiseSemantics:
     def test_self_similarity(self):
         sim, dcons = two_client_semantics([1.0, 0], [1.0, 0], [1.0, 0], [1.0, 0])
-        assert sim[0, 0, 0] == 1.0 and dcons[0, 0, 0] == 1.0
+        assert sim[0, 0] == 1.0 and dcons[0, 0] == 1.0
 
     def test_antipodal_deltas(self):
         sim, dcons = two_client_semantics([1.0, 0], [1.0, 0], [1.0, 0], [-1.0, 0])
-        assert dcons[0, 0, 1] == -1.0
+        assert dcons[0, 1] == -1.0
 
     def test_hand_cosine(self):
         sim, _ = two_client_semantics([1.0, 0], [1.0, 1.0], [1.0, 0], [1.0, 0])
-        assert abs(sim[0, 0, 1] - oracles.COS_UNIT_DIAG) < 1e-9
+        assert abs(sim[0, 1] - oracles.COS_UNIT_DIAG) < 1e-9
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         sim, dcons = two_client_semantics(
             rng.normal(size=2), rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
         )
-        assert np.array_equal(sim, np.swapaxes(sim, 1, 2))
-        assert np.array_equal(dcons, np.swapaxes(dcons, 1, 2))
+        assert np.array_equal(sim, sim.T)
+        assert np.array_equal(dcons, dcons.T)
 
     def test_empty_mu_excludes_pair(self):
         sim, dcons = two_client_semantics(
             [1.0, 0], [1.0, 0], [1.0, 0], [1.0, 0], empty1=True
         )
-        assert np.all(sim[0, 0, :] == 0.0) and np.all(dcons[0, 0, :] == 0.0)
+        assert np.all(sim[0, :] == 0.0) and np.all(dcons[0, :] == 0.0)
 
     def test_zero_delta_excludes_pair(self):
         sim, dcons = two_client_semantics([1.0, 0], [1.0, 0], [0.0, 0.0], [1.0, 0])
-        assert np.all(sim[0, 0, :] == 0.0) and np.all(dcons[0, 0, :] == 0.0)
+        assert np.all(sim[0, :] == 0.0) and np.all(dcons[0, :] == 0.0)
 
 
 class TestPairwiseSemanticsOracle:
@@ -207,7 +213,7 @@ class TestPairwiseSemanticsOracle:
         deltas = [expert_delta(upd[i], like) for i in range(n)]
 
         up = stack_uploads(stats, deltas)
-        sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
+        sim, dcons = (np.stack(q) for q in zip(*(expert_semantics(up, e) for e in range(s))))
         want_sim, want_dcons = oracles.pairwise_semantics_loop(stats, deltas)
         np.testing.assert_allclose(sim, want_sim, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dcons, want_dcons, rtol=0, atol=1e-12)
@@ -226,70 +232,128 @@ class TestPairwiseSemanticsOracle:
 
 class TestAdaptiveThreshold:
     def test_zero_dispersion(self):
-        sim = np.full((1, 3, 3), 0.8)
+        sim = np.full((3, 3), 0.8)
         tau, mean_sim, disp = adaptive_threshold(sim, 0.5)
-        assert abs(tau[0] - 0.8) < 1e-12 and disp[0] == 0.0
+        assert abs(tau - 0.8) < 1e-12 and disp == 0.0
 
     def test_beta_zero(self):
-        sim = np.array([[[1.0, 0.5], [0.5, 1.0]]])
+        sim = np.array([[1.0, 0.5], [0.5, 1.0]])
         tau, mean_sim, _ = adaptive_threshold(sim, 0.0)
-        assert tau[0] == mean_sim[0]
+        assert tau == mean_sim
 
     def test_hand_example(self):
-        sim = np.array([[[1.0, 0.5], [0.5, 1.0]]])
+        sim = np.array([[1.0, 0.5], [0.5, 1.0]])
         tau, mean_sim, disp = adaptive_threshold(sim, 1.0)
-        assert abs(mean_sim[0] - oracles.TAU_MEAN) < 1e-9
-        assert abs(disp[0] - oracles.TAU_STD) < 1e-9
-        assert abs(tau[0] - oracles.TAU_BETA1) < 1e-9
+        assert abs(mean_sim - oracles.TAU_MEAN) < 1e-9
+        assert abs(disp - oracles.TAU_STD) < 1e-9
+        assert abs(tau - oracles.TAU_BETA1) < 1e-9
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            adaptive_threshold(np.zeros((1, 2, 2)), -0.1)
+            adaptive_threshold(np.zeros((2, 2)), -0.1)
 
 
 class TestGatedWeights:
     def test_at_threshold(self):
-        sim = np.full((1, 1, 1), 0.4)
-        dcons = np.ones((1, 1, 1))
-        gamma = gated_weights(sim, dcons, np.array([0.4]))
-        assert abs(gamma[0, 0, 0] - 0.5) < 1e-12
+        gamma = gated_weights(np.full((1, 1), 0.4), np.ones((1, 1)), 0.4)
+        assert abs(gamma[0, 0] - 0.5) < 1e-12
 
     def test_negative_consensus_floors(self):
-        sim = np.full((1, 1, 1), 5.0)
-        dcons = np.full((1, 1, 1), -0.9)
-        gamma = gated_weights(sim, dcons, np.array([0.0]))
-        assert gamma[0, 0, 0] == 0.0
+        gamma = gated_weights(np.full((1, 1), 5.0), np.full((1, 1), -0.9), 0.0)
+        assert gamma[0, 0] == 0.0
 
     def test_hand_value(self):
-        sim = np.full((1, 1, 1), math.log(3.0))
-        dcons = np.full((1, 1, 1), 0.5)
-        gamma = gated_weights(sim, dcons, np.array([0.0]))
-        assert abs(gamma[0, 0, 0] - oracles.GAMMA_LN3_HALF) < 1e-9
+        gamma = gated_weights(np.full((1, 1), math.log(3.0)), np.full((1, 1), 0.5), 0.0)
+        assert abs(gamma[0, 0] - oracles.GAMMA_LN3_HALF) < 1e-9
 
     def test_direction_ablation(self):
-        sim = np.zeros((1, 1, 1))
-        dcons = np.full((1, 1, 1), -1.0)
-        gamma = gated_weights(sim, dcons, np.array([0.0]), use_direction=False)
-        assert gamma[0, 0, 0] == 0.5
+        gamma = gated_weights(np.zeros((1, 1)), np.full((1, 1), -1.0), 0.0, use_direction=False)
+        assert gamma[0, 0] == 0.5
 
     def test_range(self):
         rng = np.random.default_rng(3)
-        sim = rng.uniform(-1, 1, size=(2, 4, 4))
-        dcons = rng.uniform(-1, 1, size=(2, 4, 4))
-        gamma = gated_weights(sim, dcons, rng.uniform(-1, 1, 2))
+        sim = rng.uniform(-1, 1, size=(4, 4))
+        dcons = rng.uniform(-1, 1, size=(4, 4))
+        gamma = gated_weights(sim, dcons, rng.uniform(-1, 1))
         assert np.all(gamma >= 0.0) and np.all(gamma < 1.0)
+
+
+class TestPerExpertMatchesBatchedOracle:
+    """The round loop's one-expert-at-a-time gating against slice e of the
+    batched (S, N, N) chain in `oracles.semantic_chain_batched`, bit for
+    bit: each per-expert server function, the `helpers.semantic_gating`
+    loop and `expert_weights` on its row sums. The explicit examples hold
+    N = 1 and S = 1, an empty mu, a zero update row and a fixed tau."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        s=st.integers(1, 4),
+        h=st.integers(1, 4),
+        eh=st.integers(1, 4),
+        empty_rate=st.floats(0.0, 1.0),
+        zero_rate=st.floats(0.0, 1.0),
+        beta=st.floats(0.0, 2.0),
+        fixed_tau=st.none() | st.floats(-2.0, 2.0),
+        use_direction=st.booleans(),
+    )
+    @example(seed=0, n=1, s=1, h=2, eh=2, empty_rate=0.0, zero_rate=0.0, beta=0.5,
+             fixed_tau=None, use_direction=True)
+    @example(seed=1, n=1, s=1, h=2, eh=2, empty_rate=1.0, zero_rate=0.0, beta=0.5,
+             fixed_tau=None, use_direction=True)
+    @example(seed=2, n=1, s=1, h=2, eh=2, empty_rate=0.0, zero_rate=1.0, beta=0.5,
+             fixed_tau=0.5, use_direction=False)
+    @example(seed=3, n=5, s=3, h=3, eh=2, empty_rate=0.2, zero_rate=0.2, beta=0.5,
+             fixed_tau=0.5, use_direction=True)
+    def test_slices_match(self, seed, n, s, h, eh, empty_rate, zero_rate, beta,
+                          fixed_tau, use_direction):
+        rng = np.random.default_rng(seed)
+        like = init_params(MoEConfig(2, h, s, 1, 3, eh), rng)
+        p = expert_rows(like).shape[1]
+        upd = rng.normal(size=(n, s, p))
+        upd[rng.uniform(size=(n, s)) < zero_rate] = 0.0
+        empty = rng.uniform(size=(n, s)) < empty_rate
+        stats = [
+            make_stats(np.full(s, 1.0 / s), np.zeros(s), mu=rng.normal(size=(s, h)),
+                       mu_empty=empty[i])
+            for i in range(n)
+        ]
+        up = stack_uploads(stats, [expert_delta(upd[i], like) for i in range(n)])
+        want = oracles.semantic_chain_batched(
+            up.mu, up.mu_empty, up.deltas, beta, fixed_tau, use_direction
+        )
+
+        for e in range(s):
+            sim, dcons = expert_semantics(up, e)
+            assert np.array_equal(sim, want.sim[e])
+            assert np.array_equal(dcons, want.dcons[e])
+            tau, mean_sim, disp = adaptive_threshold(sim, beta)
+            assert mean_sim == want.mean_sim[e] and disp == want.disp[e]
+            if fixed_tau is None:
+                assert tau == want.tau[e]
+            gamma = gated_weights(sim, dcons, want.tau[e], use_direction)
+            assert np.array_equal(gamma, want.gamma[e])
+        tau, mean_sim, disp, rows = semantic_gating(
+            up.mu, up.mu_empty, up.deltas, beta, fixed_tau, use_direction
+        )
+        for got, ref in ((tau, want.tau), (mean_sim, want.mean_sim), (disp, want.disp),
+                         (rows, want.gamma_row_sums)):
+            assert np.array_equal(got, ref)
+        w, updated = expert_weights(rows)
+        assert np.array_equal(w, want.weights) and np.array_equal(updated, want.updated)
 
 
 class TestExpertAggregation:
     def test_weights_normalized(self):
-        gamma = np.random.default_rng(4).uniform(0.1, 0.9, size=(2, 3, 3))
-        w, updated = expert_weights(gamma)
+        rows = np.random.default_rng(4).uniform(0.3, 2.7, size=(2, 3))
+        w, updated = expert_weights(rows)
         assert updated.all()
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(w >= 0)
 
     def test_no_consensus_no_update(self):
-        w, updated = expert_weights(np.zeros((1, 2, 2)))
+        w, updated = expert_weights(np.zeros((1, 2)))
         assert not updated[0]
         assert np.all(w == 0.0)
 
@@ -335,8 +399,7 @@ class TestExpertAggregation:
         base = expert_rows(params)[0]
         d = np.random.default_rng(2).normal(size=base.size)
         deltas = stack_uploads([], [expert_delta(d[None, :], params)]).deltas
-        gamma = np.full((1, 1, 1), 0.5)
-        w, updated = expert_weights(gamma)
+        w, updated = expert_weights(np.full((1, 1), 0.5))
         out = aggregate_experts(params, deltas, w, updated, np.ones(1))
         np.testing.assert_allclose(expert_rows(out)[0] - base, d, atol=1e-12)
 
@@ -423,10 +486,8 @@ class TestPermutationEquivariance:
             up = stack_uploads(st, dl)
             omega = consistency_weights(up.p_bar, up.margin)
             p_g = global_routing(up.p_bar, omega)
-            sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
-            tau, _, _ = adaptive_threshold(sim, 0.5)
-            gamma = gated_weights(sim, dcons, tau)
-            w, updated = expert_weights(gamma)
+            tau, _, _, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
+            w, updated = expert_weights(rows)
             agg = np.zeros_like(expert_rows(dl[0]))
             for e in range(s):
                 for i in range(len(dl)):
@@ -459,12 +520,10 @@ class TestHomogeneityFixedPoint:
         np.testing.assert_allclose(omega, 1.0 / n, atol=1e-9)
         p_g = global_routing(up.p_bar, omega)
         np.testing.assert_allclose(p_g, p_bar, atol=1e-9)
-        sim, dcons = pairwise_semantics(up.mu, up.mu_empty, up.deltas)
-        tau, mean_sim, disp = adaptive_threshold(sim, 0.5)
+        tau, mean_sim, disp, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
         np.testing.assert_allclose(tau, 1.0, atol=1e-9)
         np.testing.assert_allclose(disp, 0.0, atol=1e-9)
-        gamma = gated_weights(sim, dcons, tau)
-        w, updated = expert_weights(gamma)
+        w, updated = expert_weights(rows)
         assert updated.all()
         acc = np.zeros((s, p))
         for e in range(s):
