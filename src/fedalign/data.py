@@ -99,7 +99,7 @@ def dirichlet_partition(
         for c in classes:
             idx = np.nonzero(labels == c)[0]
             idx = idx[rng.permutation(idx.size)]
-            props = rng.dirichlet(np.full(num_clients, concentration))
+            props = rng.dirichlet(np.full(num_clients, concentration, dtype=np.float64))
             cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
             owner[idx] = np.repeat(clients, np.diff(cuts, prepend=0, append=idx.size))
         if np.bincount(owner, minlength=num_clients).min() >= 1:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedalign
@@ -463,6 +463,8 @@ class TestCliConfigFuzz:
 
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), BAD_VALUES, min_size=1, max_size=3))
+    # An integer alpha beyond uint64 once made `np.full` an object array.
+    @example({"dirichlet_alpha": 2**64})
     def test_bad_values_never_raise(self, bad):
         with tempfile.TemporaryDirectory() as tmp:
             cfg_file = Path(tmp) / "cfg.json"
