@@ -53,7 +53,8 @@ def _fail(error: str, details, code: int) -> int:
 
 def main(argv=None) -> int:
     """Exit 0 on success, 2 on an invalid config (including a data partition
-    the config cannot produce), 3 when training diverges."""
+    the config cannot produce) or one whose arrays do not fit in memory, 3
+    when training diverges."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
@@ -70,6 +71,8 @@ def main(argv=None) -> int:
         return _fail("invalid-config", exc.errors, 2)
     except FloatingPointError as exc:
         return _fail("diverged", str(exc), 3)
+    except MemoryError as exc:
+        return _fail("out-of-memory", str(exc), 2)
     final = result.records[-1]
     print(
         json.dumps(

@@ -4,7 +4,7 @@ and the parameter update the server aggregates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,13 +17,16 @@ from .numeric import sigmoid
 class RegContext:
     """Everything the regularizer needs during one local round.
 
-    alpha is precomputed from the previous round's statistics; the mask is
-    fixed policy (top-k of the local softmax union top-k of the reference).
+    alpha is precomputed from the previous round's statistics. A row's KL
+    mask is its dispatch set (the experts `forward` routed it to) OR the
+    reference set `ref`, the top-k of `p_g`, built once here.
     """
 
     p_g: np.ndarray  # (S,) global routing reference, sums to 1
     lam: float  # balancing coefficient on the regularizer
     alpha: np.ndarray  # (S,) adaptive per-expert weights
+    top_k: int  # experts per row, the size of the reference set
+    ref: np.ndarray = field(init=False)  # (top_k,) ascending top-k of p_g
 
     def __post_init__(self):
         self.p_g = np.asarray(self.p_g, dtype=np.float64)
@@ -33,6 +36,7 @@ class RegContext:
         p_g = self.p_g
         if not np.isfinite(p_g).all() or np.any(p_g < 0) or abs(p_g.sum() - 1.0) > 1e-9:
             raise ValueError("p_g must be a distribution")
+        self.ref = M.top_k_select(p_g, self.top_k)
 
 
 @dataclass
@@ -91,12 +95,12 @@ def compute_alpha(overlap: np.ndarray, eta: float) -> np.ndarray:
     return sigmoid(np.asarray(overlap, dtype=np.float64) - eta)
 
 
-def reg_loss(trace: M.ForwardTrace, ctx: RegContext, top_k: int) -> float:
+def reg_loss(trace: M.ForwardTrace, ctx: RegContext) -> float:
     """Batch-mean masked KL between the local routing softmax and p_g.
 
     The per-sample values are added front to back from 0.0, not by numpy's
     pairwise sum, which keeps the reported `mean_reg_loss` byte-stable."""
-    vals, _ = M.masked_kl(trace.full_probs, ctx.p_g, ctx.alpha, top_k)
+    vals, _ = M.masked_kl(trace.full_probs, trace.topk_idx, ctx.ref, ctx.p_g, ctx.alpha)
     return float(np.add.accumulate(np.concatenate(([0.0], vals)))[-1]) / trace.batch_size
 
 
@@ -145,7 +149,7 @@ def local_round(
 
     # Statistics reflect the final model: one pass over the whole shard.
     trace, mean_local = M.forward(config, params, shard.features, shard.labels)
-    mean_reg = reg_loss(trace, ctx, config.top_k)
+    mean_reg = reg_loss(trace, ctx)
     mu, empty = compute_mu(trace)
     param_delta = M.ModelParams.from_flat(theta - params_in.flat, params.shapes)
     return LocalRoundResult(

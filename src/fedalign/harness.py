@@ -293,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             alpha = np.ones((n, s))
         for i, shard in enumerate(shards):
             start = client_start(i)
-            ctx = C.RegContext(p_g=p_g, lam=cfg.lam if is_align else 0.0, alpha=alpha[i])
+            ctx = C.RegContext(p_g, cfg.lam if is_align else 0.0, alpha[i], cfg.top_k)
             try:
                 res = C.local_round(
                     mcfg,

@@ -50,14 +50,14 @@ class MoEConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """All trainable tensors. Experts are stacked along the leading axis.
 
     The seven blocks are views of one float64 buffer `flat`, in BLOCKS
     order, which is also the checkpoint's byte order; an update, a copy or
-    a finiteness check is one array operation on it. Assigning a block
-    copies the value into its view, so the blocks never leave the buffer.
+    a finiteness check is one array operation on it. Frozen: a block is
+    written in place (`params.gate[...] = w`), never rebound off the buffer.
     `shapes` holds each block's shape without the buffer's leading axes:
     `from_flat` can lay the blocks over an (N, P) buffer, where row i is one
     model and each block leads with N.
@@ -95,16 +95,6 @@ class ModelParams:
             self.__dict__[b] = flat[..., end : end + size].reshape(lead + shape)
             end += size
         return self
-
-    def __setattr__(self, name, value):
-        if name in self.BLOCKS and "flat" in self.__dict__:
-            view = self.__dict__[name]
-            value = np.asarray(value)
-            if value.shape != view.shape:
-                raise ValueError(f"block {name!r} is {view.shape}, got {value.shape}")
-            view[...] = value
-        else:
-            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return ModelParams.from_flat, (self.flat, self.shapes)
@@ -170,7 +160,7 @@ class ForwardTrace:
     hidden: np.ndarray  # (B, hidden_dim)
     scores: np.ndarray  # (B, S) raw gate scores
     full_probs: np.ndarray  # (B, S) softmax over ALL experts
-    topk_idx: np.ndarray  # (B, k) ascending expert indices
+    topk_idx: np.ndarray  # (B, k) ascending expert indices: each row's dispatch set
     topk_probs: np.ndarray  # (B, S) renormalized over the top-k, zero elsewhere
     residual: np.ndarray  # (B, hidden_dim) MoE output + hidden, the head's input
     logits: np.ndarray  # (B, num_classes)
@@ -286,14 +276,15 @@ def _expert_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
-def masked_kl(fp: np.ndarray, p_g: np.ndarray, alpha: np.ndarray, k: int):
+def masked_kl(fp, topk_idx, ref, p_g, alpha):
     """Masked, renormalized KL between each sample's full routing softmax and
     the global reference, and its gradient.
 
-    `fp` is a batch of softmax rows (B, S). A row's mask is its own top-k OR
-    the top-k of `p_g`; both distributions are renormalized over the mask so
-    the comparison is a proper distribution pair. Returns the values (B,)
-    and their gradients with respect to `fp` (B, S).
+    `fp` is a batch of softmax rows (B, S). A row's mask is its dispatch set
+    `topk_idx` (B, k), the experts `forward` routed it to, OR the reference
+    set `ref`, the top-k of `p_g`; both distributions are renormalized over
+    the mask so the comparison is a proper distribution pair. Returns the
+    values (B,) and their gradients with respect to `fp` (B, S).
 
     The work is dense in an expert-major (S, B) layout, zero off the mask.
     Every sum over experts adds them one at a time in ascending index order
@@ -302,8 +293,8 @@ def masked_kl(fp: np.ndarray, p_g: np.ndarray, alpha: np.ndarray, k: int):
     """
     b, s = fp.shape
     mask = np.zeros((s, b), dtype=bool)
-    mask[top_k_select(fp, k).T, np.arange(b)] = True
-    mask[top_k_select(p_g, k)] = True
+    mask[topk_idx.T, np.arange(b)] = True
+    mask[ref] = True
     f = np.where(mask, fp.T, 0.0)
     q = np.where(mask, p_g[:, None], 0.0)
     zp = np.maximum(_expert_sum(f), EPS)
@@ -328,9 +319,10 @@ def backward(
 ) -> ModelParams:
     """Exact gradients of L_total = L_local + lam * L_reg for one batch.
 
-    `reg_ctx` must expose `p_g` and `alpha` arrays of length S; it is
-    required when lam > 0 and only consulted then. Gradients of experts
-    outside every row's top-k are zero.
+    `reg_ctx` must expose `p_g`, `alpha` and the reference set `ref`; it is
+    required when lam > 0 and only consulted then. The KL mask is each row's
+    dispatch set `trace.topk_idx` OR `ref`. `config` is not read. Gradients
+    of experts outside every row's top-k are zero.
     Returns the gradients as a ModelParams laid out like `params`, each
     block written into its view of one buffer.
     """
@@ -367,7 +359,9 @@ def backward(
 
     # KL regularizer through the full softmax (batch mean).
     if lam > 0.0:
-        _, dfp = masked_kl(trace.full_probs, reg_ctx.p_g, reg_ctx.alpha, config.top_k)
+        _, dfp = masked_kl(
+            trace.full_probs, trace.topk_idx, reg_ctx.ref, reg_ctx.p_g, reg_ctx.alpha
+        )
         dfp *= lam / b
         dg += _softmax_backward(trace.full_probs, dfp)
 

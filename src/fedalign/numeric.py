@@ -54,9 +54,6 @@ def cosine_sim(x: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) cannot overflow; below 0, e / (1 + e) = exp(x) / (1 + exp(x)).
+    e = np.exp(-np.abs(arr))
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)

@@ -4,8 +4,8 @@ client's routing statistics and the stacked arrays the server takes from
 per-client uploads, the round loop's per-expert semantic gating, row scales
 around NORM_FLOOR for property tests, the `np.longdouble` conversion for
 80-bit references and the cosine's rounding bound, a plain softmax for
-building inputs, `forward`'s routing softmax of chosen gate scores, and the
-central finite-difference gradient checker."""
+building inputs, a model whose gate scores are its inputs and `forward`'s
+routing softmax on it, and the central finite-difference gradient checker."""
 
 from collections import namedtuple
 from types import SimpleNamespace
@@ -64,7 +64,7 @@ def expert_delta(rows, like=None):
     names = ("expert_w1", "expert_b1", "expert_w2", "expert_b2")
     sizes = [getattr(out, b)[0].size for b in names]
     for b, part in zip(names, np.split(rows, np.cumsum(sizes)[:-1], axis=1)):
-        setattr(out, b, part.reshape(getattr(out, b).shape).copy())
+        getattr(out, b)[...] = part.reshape(getattr(out, b).shape)
     return out
 
 
@@ -123,13 +123,11 @@ def softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def gate_softmax(scores):
-    """`forward`'s full routing softmax of the gate scores `scores` (B, S).
-
-    The model has input, hidden and expert count S, identity `embed` and
-    `gate` and zeros elsewhere, so each gate score row is the input row."""
-    s = scores.shape[1]
-    config = MoEConfig(input_dim=s, hidden_dim=s, num_experts=s, top_k=1,
+def gate_model(s, top_k=1):
+    """A model whose gate scores are its input rows: input, hidden and expert
+    count S, identity `embed` and `gate`, zeros elsewhere. Returns the
+    config and the parameters."""
+    config = MoEConfig(input_dim=s, hidden_dim=s, num_experts=s, top_k=top_k,
                        num_classes=1, expert_hidden=1)
     params = ModelParams(
         embed=np.eye(s),
@@ -140,7 +138,13 @@ def gate_softmax(scores):
         expert_b2=np.zeros((s, s)),
         head=np.zeros((s, 1)),
     )
-    trace, _ = forward(config, params, scores)
+    return config, params
+
+
+def gate_softmax(scores):
+    """`forward`'s full routing softmax of the gate scores `scores` (B, S),
+    run on `gate_model`."""
+    trace, _ = forward(*gate_model(scores.shape[1]), scores)
     return trace.full_probs
 
 

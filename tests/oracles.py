@@ -133,21 +133,18 @@ def aggregate_round_flat(global_params, deltas, weights, updated, sizes):
     return out
 
 
-def masked_kl_row(fp_row, p_g, alpha, k, want_grad=False):
+def masked_kl_row(fp_row, dispatch, p_g, alpha, k, want_grad=False):
     """Reference for `model.masked_kl`: one sample at a time.
 
-    Mask = top-k of the row union top-k of p_g (ties to the lower index);
-    both distributions renormalized over the mask, every denominator and
-    log argument floored at 1e-8, and 0 * log 0 = 0. Returns the value and,
-    optionally, the gradient with respect to the full row."""
+    Mask = the row's dispatch set (the experts it was routed to) union the
+    top-k of p_g (ties to the lower index); both distributions renormalized
+    over the mask, every denominator and log argument floored at 1e-8, and
+    0 * log 0 = 0. Returns the value and, optionally, the gradient with
+    respect to the full row."""
     import numpy as np
 
     eps = 1e-8
-
-    def top_k(v):
-        return np.sort(np.argsort(-v, kind="stable")[:k])
-
-    mask = np.union1d(top_k(fp_row), top_k(p_g))
+    mask = np.union1d(dispatch, np.sort(np.argsort(-p_g, kind="stable")[:k]))
     zp = fp_row[mask].sum()
     zq = max(p_g[mask].sum(), eps)
     pt = fp_row[mask] / max(zp, eps)
@@ -160,6 +157,21 @@ def masked_kl_row(fp_row, p_g, alpha, k, want_grad=False):
     dfp = np.zeros_like(fp_row)
     dfp[mask] = (dpt - (dpt * pt).sum()) / max(zp, eps)
     return val, dfp
+
+
+def sigmoid_scatter(x):
+    """Reference for `numeric.sigmoid`: the two boolean-mask scatters it
+    replaced, 1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x))
+    elsewhere."""
+    import numpy as np
+
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 NORM_FLOOR = 1e-12
@@ -337,8 +349,8 @@ def sparse_backward(fwd, params, labels, k, lam=0.0, p_g=None, alpha=None):
     """Reference for `model.backward` on a `sparse_forward` result: one
     expert at a time over its cached rows, the top-k softmax backward on the
     gathered (B, k) weights scattered back with `np.add.at`, and the masked
-    KL gradient from `masked_kl_row` one sample at a time. Returns a dict of
-    the seven gradient blocks."""
+    KL gradient from `masked_kl_row` one sample at a time, each over its own
+    top-k dispatch set. Returns a dict of the seven gradient blocks."""
     import numpy as np
 
     b = fwd["x"].shape[0]
@@ -374,7 +386,10 @@ def sparse_backward(fwd, params, labels, k, lam=0.0, p_g=None, alpha=None):
     np.add.at(dg, idx, softmax_backward(tp[idx], dtp[idx]))
     if lam > 0.0:
         fp = fwd["fp"]
-        dfp = np.stack([masked_kl_row(row, p_g, alpha, k, want_grad=True)[1] for row in fp])
+        dfp = np.stack([
+            masked_kl_row(row, dispatch, p_g, alpha, k, want_grad=True)[1]
+            for row, dispatch in zip(fp, fwd["topk_idx"])
+        ])
         dfp *= lam / b
         dg += softmax_backward(fp, dfp)
     grads["gate"] = fwd["h"].T @ dg
@@ -429,5 +444,5 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
         mu=mu,
         mu_empty=empty,
         mean_local_loss=mean_local,
-        mean_reg_loss=C.reg_loss(trace, ctx, config.top_k),
+        mean_reg_loss=C.reg_loss(trace, ctx),
     )

@@ -60,9 +60,10 @@ def median_acc(runs, method, alpha=0.1):
 
 
 class RegCtx:
-    def __init__(self, p_g, alpha):
+    def __init__(self, p_g, alpha, k):
         self.p_g = p_g
         self.alpha = alpha
+        self.ref = M.top_k_select(p_g, k)
 
 
 def test_criterion_1_gradient_fidelity(report):
@@ -78,17 +79,17 @@ def test_criterion_1_gradient_fidelity(report):
             labels = rng.integers(0, config.num_classes, size=3)
             p_g = rng.dirichlet(np.ones(config.num_experts))
             alpha = rng.uniform(0.2, 1.0, size=config.num_experts)
-            ctx = RegCtx(p_g, alpha)
+            ctx = RegCtx(p_g, alpha, config.top_k)
             trace, _ = M.forward(config, params, x, labels)
             grads = M.backward(trace, params, config, lam=lam, reg_ctx=ctx)
 
             def loss_fn(w, block):
                 probe = params.copy()
-                setattr(probe, block, w)
+                getattr(probe, block)[...] = w
                 t, ce = M.forward(config, probe, x, labels)
                 if lam == 0.0:
                     return ce
-                vals, _ = M.masked_kl(t.full_probs, p_g, alpha, config.top_k)
+                vals, _ = M.masked_kl(t.full_probs, t.topk_idx, ctx.ref, p_g, alpha)
                 return ce + lam * vals.mean()
 
             for block in M.ModelParams.BLOCKS:
@@ -108,10 +109,13 @@ def test_criterion_1_gradient_fidelity(report):
 def test_criterion_2_formula_oracles(report):
     # The routing softmax is forward's, on gate scores [ln 2, 0]; the KL
     # summand is masked_kl's, with the mask on both experts and alpha [1, 0].
+    both = np.array([0, 1])
     checks = []
     checks.append(abs(gate_softmax(np.array([[math.log(2), 0.0]]))[0, 0]
                       - oracles.SOFTMAX_LN2_0[0]) < 1e-9)
-    kl, _ = M.masked_kl(np.array([[0.8, 0.2]]), np.array([0.2, 0.8]), np.array([1.0, 0.0]), 2)
+    kl, _ = M.masked_kl(
+        np.array([[0.8, 0.2]]), both[None], both, np.array([0.2, 0.8]), np.array([1.0, 0.0])
+    )
     checks.append(abs(kl[0] - oracles.KL_TERM_08_02) < 1e-9)
     checks.append(abs(sigmoid(-math.log(3.0)) - oracles.SIGMOID_NEG_LN3) < 1e-9)
     checks.append(abs(cosine_sim(np.array([[1.0, 0], [1.0, 1.0]]))[0, 1]
@@ -124,7 +128,7 @@ def test_criterion_2_formula_oracles(report):
         C.compute_margin(type("T", (), {"full_probs": np.array(
             [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])})),
         oracles.MARGIN_TWO_SAMPLES, atol=1e-9))
-    kl, _ = M.masked_kl(np.array([[0.9, 0.1]]), np.array([0.5, 0.5]), np.ones(2), 2)
+    kl, _ = M.masked_kl(np.array([[0.9, 0.1]]), both[None], both, np.array([0.5, 0.5]), np.ones(2))
     checks.append(abs(kl[0] - oracles.MASKED_KL_09_05) < 1e-9)
     checks.append(abs(C.compute_alpha(np.array([0.1 + math.log(3)]), 0.1)[0]
                       - oracles.SIGMOID_LN3) < 1e-9)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from helpers import apply_delta
+from helpers import apply_delta, gate_model
 from fedalign.client import (
     RegContext,
     compute_alpha,
@@ -36,23 +36,27 @@ def make_setup(seed=0, n=32, s=3, k=1, classes=3):
     x = rng.normal(size=(n, config.input_dim))
     y = rng.integers(0, classes, size=n)
     shard = ClientDataset(x, y)
-    ctx = RegContext(p_g=np.full(s, 1.0 / s), lam=0.1, alpha=np.ones(s))
+    ctx = RegContext(p_g=np.full(s, 1.0 / s), lam=0.1, alpha=np.ones(s), top_k=k)
     return config, params, shard, ctx
 
 
 class TestRegContext:
     def test_rejects_negative_lam(self):
         with pytest.raises(ValueError):
-            RegContext(np.array([0.5, 0.5]), -1.0, np.ones(2))
+            RegContext(np.array([0.5, 0.5]), -1.0, np.ones(2), 1)
 
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
-            RegContext(np.array([0.7, 0.7]), 0.1, np.ones(2))
+            RegContext(np.array([0.7, 0.7]), 0.1, np.ones(2), 1)
 
     def test_rejects_non_finite(self):
         # A NaN passes both the sign and the sum test.
         with pytest.raises(ValueError):
-            RegContext(np.array([np.nan, 1.0]), 0.1, np.ones(2))
+            RegContext(np.array([np.nan, 1.0]), 0.1, np.ones(2), 1)
+
+    def test_reference_set_is_top_k_of_p_g(self):
+        ctx = RegContext(np.array([0.3, 0.1, 0.6]), 0.1, np.ones(3), 2)
+        assert ctx.ref.tolist() == [0, 2]
 
 
 class TestPBar:
@@ -175,19 +179,35 @@ class TestAlpha:
 class TestRegLoss:
     def test_zero_when_matching(self):
         p = np.array([0.5, 0.3, 0.2])
-        trace = SimpleNamespace(batch_size=2, full_probs=np.stack([p, p]))
-        ctx = RegContext(p, 0.1, np.ones(3))
-        assert reg_loss(trace, ctx, 3) == 0.0
+        trace = SimpleNamespace(batch_size=2, full_probs=np.stack([p, p]),
+                                topk_idx=np.array([[0, 1, 2]] * 2))
+        ctx = RegContext(p, 0.1, np.ones(3), 3)
+        assert reg_loss(trace, ctx) == 0.0
 
     def test_zero_alpha(self):
-        trace = SimpleNamespace(batch_size=1, full_probs=np.array([[0.9, 0.1]]))
-        ctx = RegContext(np.array([0.5, 0.5]), 0.1, np.zeros(2))
-        assert reg_loss(trace, ctx, 1) == 0.0
+        trace = SimpleNamespace(batch_size=1, full_probs=np.array([[0.9, 0.1]]),
+                                topk_idx=np.array([[0]]))
+        ctx = RegContext(np.array([0.5, 0.5]), 0.1, np.zeros(2), 1)
+        assert reg_loss(trace, ctx) == 0.0
 
     def test_hand_value(self):
-        trace = SimpleNamespace(batch_size=1, full_probs=np.array([[0.9, 0.1]]))
-        ctx = RegContext(np.array([0.5, 0.5]), 0.1, np.ones(2))
-        assert abs(reg_loss(trace, ctx, 2) - oracles.MASKED_KL_09_05) < 1e-9
+        trace = SimpleNamespace(batch_size=1, full_probs=np.array([[0.9, 0.1]]),
+                                topk_idx=np.array([[0, 1]]))
+        ctx = RegContext(np.array([0.5, 0.5]), 0.1, np.ones(2), 2)
+        assert abs(reg_loss(trace, ctx) - oracles.MASKED_KL_09_05) < 1e-9
+
+    def test_mask_is_forward_dispatch_set(self):
+        # Gate scores [1000, -5, 0] route the row to experts {0, 2}, but fp
+        # is [1, 0, 0]: both other entries underflow. The mask is {0, 2} OR
+        # the top 2 of p_g, {0, 1}, so it holds every expert and the value
+        # is 1 * log(1 / 0.6). A top-k of fp would tie experts 1 and 2 at 0
+        # and mask {0, 1}, giving log(1 / (0.6 / 0.9)) = log 1.5.
+        config, params = gate_model(3, top_k=2)
+        trace, _ = forward(config, params, np.array([[1000.0, -5.0, 0.0]]))
+        assert trace.full_probs.tolist() == [[1.0, 0.0, 0.0]]
+        assert trace.topk_idx.tolist() == [[0, 2]]
+        ctx = RegContext(np.array([0.6, 0.3, 0.1]), 0.1, np.ones(3), 2)
+        assert abs(reg_loss(trace, ctx) - math.log(1.0 / 0.6)) < 1e-12
 
 
 class TestLocalRound:
@@ -209,8 +229,8 @@ class TestLocalRound:
         # The regularizer disappears both when lam=0 and when every alpha is
         # zero; the trained parameters must agree bitwise.
         config, params, shard, ctx = make_setup()
-        ctx0 = RegContext(ctx.p_g, 0.0, np.ones(3))
-        ctxa = RegContext(ctx.p_g, 0.5, np.zeros(3))
+        ctx0 = RegContext(ctx.p_g, 0.0, np.ones(3), config.top_k)
+        ctxa = RegContext(ctx.p_g, 0.5, np.zeros(3), config.top_k)
         r0 = local_round(config, params, shard, ctx0, 2, 0.1, np.random.default_rng(4))
         ra = local_round(config, params, shard, ctxa, 2, 0.1, np.random.default_rng(4))
         new0, newa = apply_delta(params, r0.param_delta), apply_delta(params, ra.param_delta)
@@ -229,7 +249,7 @@ class TestLocalRound:
         means = np.array([[-2.0, 0.0], [2.0, 0.0]])
         x = means[labels] + rng.normal(0.0, 0.3, size=(n, 2))
         shard = ClientDataset(x, labels)
-        ctx = RegContext(np.array([0.5, 0.5]), 0.0, np.ones(2))
+        ctx = RegContext(np.array([0.5, 0.5]), 0.0, np.ones(2), 1)
         params = init_params(config, rng)
         res = local_round(config, params, shard, ctx, epochs=20, lr=0.2,
                           rng=np.random.default_rng(12))
@@ -254,7 +274,7 @@ class TestLocalRound:
         # far below the others for every sample; one low-lr epoch cannot pull
         # it back into the top-1 set.
         config, params, shard, ctx = make_setup(s=3, k=1)
-        params.embed = np.abs(params.embed)
+        np.abs(params.embed, out=params.embed)
         shard = ClientDataset(np.abs(shard.features) + 0.1, shard.labels)
         params.gate[:, 2] = -100.0
         res = local_round(config, params, shard, ctx, epochs=1, lr=0.01,
@@ -268,10 +288,10 @@ class TestLocalRound:
         # d L_total / d lam equals the regularizer value at fixed parameters.
         config, params, shard, ctx = make_setup()
         trace, ce = forward(config, params, shard.features, shard.labels)
-        reg = reg_loss(trace, ctx, config.top_k)
+        reg = reg_loss(trace, ctx)
         h = 1e-3
         def total(lam):
-            return ce + lam * reg_loss(trace, ctx, config.top_k)
+            return ce + lam * reg_loss(trace, ctx)
         slope = (total(ctx.lam + h) - total(ctx.lam - h)) / (2 * h)
         assert abs(slope - reg) < 1e-9
 
@@ -280,7 +300,7 @@ class TestLocalRound:
         # frozen batch must not increase TV(p_bar, p_g). Fixed seed.
         config, params, shard, ctx = make_setup(seed=5, n=24)
         p_g = np.array([0.7, 0.2, 0.1])
-        strong = RegContext(p_g, 1.0, np.ones(3))
+        strong = RegContext(p_g, 1.0, np.ones(3), config.top_k)
         before, _ = forward(config, params, shard.features, shard.labels)
         tv0 = 0.5 * np.abs(compute_p_bar(before) - p_g).sum()
         res = local_round(config, params, shard, strong, epochs=1, lr=0.05,
@@ -328,11 +348,11 @@ class TestLocalRoundOracle:
         x = rng.normal(size=(n, config.input_dim))
         if rounded:
             x = np.round(x)
-            params.embed = np.round(params.embed * 2.0)
-            params.gate = np.round(params.gate * 2.0)
-        params.gate *= gate_scale
+            params.embed[...] = np.round(params.embed * 2.0)
+            params.gate[...] = np.round(params.gate * 2.0)
+        params.gate[...] *= gate_scale
         shard = ClientDataset(x, rng.integers(0, config.num_classes, size=n))
-        ctx = RegContext(rng.dirichlet(np.ones(s)), lam, rng.uniform(size=s))
+        ctx = RegContext(rng.dirichlet(np.ones(s)), lam, rng.uniform(size=s), k)
         # A proximal reference apart from the start model, so the penalty
         # pulls from the first step on.
         kw = dict(epochs=2, lr=0.05, batch_size=batch_size, prox_mu=0.1 if prox else 0.0,

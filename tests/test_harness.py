@@ -180,7 +180,7 @@ class TestEvaluate:
         from fedalign.data import ClientDataset
 
         shard = ClientDataset(x, y)
-        ctx = RegContext(np.full(3, 1 / 3), 0.0, np.ones(3))
+        ctx = RegContext(np.full(3, 1 / 3), 0.0, np.ones(3), mcfg.top_k)
         res = local_round(mcfg, params, shard, ctx, epochs=20, lr=0.2,
                           rng=np.random.default_rng(0))
         assert evaluate(mcfg, apply_delta(params, res.param_delta), x, y) == 1.0
@@ -213,7 +213,8 @@ class TestRoundLoop:
         init = M.init_params(mcfg, child_rng(cfg.seed, "init"))
         s = cfg.num_experts
         ctx = C.RegContext(np.full(s, 1 / s), 0.0,
-                           C.compute_alpha(np.full(s, 1 / s) * np.full(s, 1 / s), cfg.eta))
+                           C.compute_alpha(np.full(s, 1 / s) * np.full(s, 1 / s), cfg.eta),
+                           cfg.top_k)
         res = C.local_round(
             mcfg, init, shards[0], ctx, epochs=cfg.local_epochs, lr=cfg.lr,
             rng=child_rng(cfg.seed, "client", 0, "round", 1),
@@ -379,6 +380,22 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "diverged"
         assert err["details"] == "round 1, client 0: non-finite entries in parameter block 'embed'"
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A run whose arrays do not fit is simulated: nothing is allocated.
+        def exhausted(cfg, out_dir=None):
+            raise MemoryError("Unable to allocate 64.0 TiB for an array")
+
+        monkeypatch.setattr("fedalign.cli.run_experiment", exhausted)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(TINY))
+        code = cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "out-of-memory", "details": "Unable to allocate 64.0 TiB for an array"
+        }
 
     # lr=1e300 overflows in a matmul, lr=50 in a reduction; numpy would warn
     # about either on stderr ahead of the JSON.

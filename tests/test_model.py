@@ -6,6 +6,7 @@ per-sample oracle, and the byte-exact checkpoint format."""
 
 import pickle
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -58,14 +59,16 @@ class TestModelParamsFlat:
             np.arange(params.flat.size),
         )
 
-    def test_assignment_copies_into_buffer(self):
+    def test_assignment_raises(self):
+        # A rebound block would leave the buffer; blocks are written in place.
         params, _, _ = small_batch(small_config())
-        value = np.full(params.gate.shape, 2.5)
-        params.gate = value
-        value[...] = 0.0
-        assert np.all(params.gate == 2.5) and np.shares_memory(params.gate, params.flat)
-        with pytest.raises(ValueError, match="'gate'"):
-            params.gate = np.zeros(params.gate.shape[::-1])
+        before = params.flat.copy()
+        with pytest.raises(FrozenInstanceError):
+            params.gate = np.full(params.gate.shape, 2.5)
+        with pytest.raises(FrozenInstanceError):
+            params.flat = np.zeros_like(before)
+        assert np.shares_memory(params.gate, params.flat)
+        assert np.array_equal(params.flat, before)
 
     def test_copy_and_pickle_keep_views(self):
         params, _, _ = small_batch(small_config())
@@ -172,16 +175,20 @@ class TestForward:
 
 
 class RegCtx:
-    def __init__(self, p_g, alpha):
+    """What `backward` reads of a regularizer context: p_g, alpha and the
+    reference set, the top-k of p_g."""
+
+    def __init__(self, p_g, alpha, k):
         self.p_g = p_g
         self.alpha = alpha
+        self.ref = top_k_select(p_g, k)
 
 
 def total_loss(config, params, x, labels, lam, ctx):
     trace, ce = forward(config, params, x, labels)
     if lam == 0.0:
         return ce
-    vals, _ = masked_kl(trace.full_probs, ctx.p_g, ctx.alpha, config.top_k)
+    vals, _ = masked_kl(trace.full_probs, trace.topk_idx, ctx.ref, ctx.p_g, ctx.alpha)
     return ce + lam * vals.mean()
 
 
@@ -191,7 +198,7 @@ def test_gradients_match_finite_differences(lam):
     rng = np.random.default_rng(7)
     p_g = rng.dirichlet(np.ones(config.num_experts))
     alpha = rng.uniform(0.2, 1.0, size=config.num_experts)
-    ctx = RegCtx(p_g, alpha)
+    ctx = RegCtx(p_g, alpha, config.top_k)
     for seed in range(4):
         params, x, labels = small_batch(config, seed=seed)
         trace, _ = forward(config, params, x, labels)
@@ -199,7 +206,7 @@ def test_gradients_match_finite_differences(lam):
         for block in ModelParams.BLOCKS:
             def f(w, block=block):
                 probe = params.copy()
-                setattr(probe, block, w)
+                getattr(probe, block)[...] = w
                 return total_loss(config, probe, x, labels, lam, ctx)
 
             disc = grad_check(f, getattr(params, block), getattr(grads, block), eps=1e-5)
@@ -277,15 +284,15 @@ class TestDenseDispatchOracle:
         labels = rng.integers(0, config.num_classes, size=b)
         if rounded:
             x = np.round(x)
-            params.embed = np.round(params.embed * 2.0)
-            params.gate = np.round(params.gate * 2.0)
-        params.gate *= gate_scale
+            params.embed[...] = np.round(params.embed * 2.0)
+            params.gate[...] = np.round(params.gate * 2.0)
+        params.gate[...] *= gate_scale
         p_g = rng.dirichlet(np.ones(s))
         alpha = rng.uniform(0.0, 1.0, size=s)
         lam = 0.3
 
         trace, loss = forward(config, params, x, labels)
-        grads = backward(trace, params, config, lam, RegCtx(p_g, alpha))
+        grads = backward(trace, params, config, lam, RegCtx(p_g, alpha, k))
         ref = oracles.sparse_forward(params, x, k, labels)
         ref_grads = oracles.sparse_backward(ref, params, labels, k, lam, p_g, alpha)
 
@@ -316,30 +323,50 @@ def test_backward_with_lam_requires_reg_ctx():
 
 
 class TestMaskedKl:
+    """`masked_kl(fp, topk_idx, ref, p_g, alpha)`: the mask of row i is its
+    dispatch set `topk_idx[i]` OR the reference set `ref`."""
+
     def test_equal_on_mask_is_zero(self):
         p = np.array([0.5, 0.3, 0.2])
-        vals, _ = masked_kl(p[None], p.copy(), np.ones(3), 2)
+        vals, _ = masked_kl(p[None], np.array([[0, 1]]), np.array([0, 1]), p.copy(), np.ones(3))
         assert vals[0] == 0.0
 
     def test_alpha_zero(self):
         p = np.array([[0.9, 0.05, 0.05]])
         q = np.array([0.1, 0.4, 0.5])
-        vals, dfp = masked_kl(p, q, np.zeros(3), 2)
+        vals, dfp = masked_kl(p, np.array([[0, 1]]), np.array([1, 2]), q, np.zeros(3))
         assert vals[0] == 0.0 and not dfp.any()
 
     def test_hand_value(self):
-        # k=2 so the mask covers both experts; renormalization is then a
-        # no-op and the value is the plain two-term KL.
-        vals, _ = masked_kl(np.array([[0.9, 0.1]]), np.array([0.5, 0.5]), np.ones(2), 2)
+        # Both sets cover both experts; renormalization is then a no-op and
+        # the value is the plain two-term KL.
+        both = np.array([0, 1])
+        vals, _ = masked_kl(
+            np.array([[0.9, 0.1]]), both[None], both, np.array([0.5, 0.5]), np.ones(2)
+        )
         assert abs(vals[0] - oracles.MASKED_KL_09_05) < 1e-9
+
+    def test_mask_is_dispatch_or_reference_set(self):
+        # Row 0 is dispatched to expert 2, whose fp is 0, and row 1 to
+        # expert 0; the reference set is {1}. So the masks are {1, 2} and
+        # {0, 1}, and the gradient is 0 off them.
+        fp = np.array([[0.7, 0.3, 0.0], [0.2, 0.3, 0.5]])
+        p_g = np.array([0.2, 0.5, 0.3])
+        vals, dfp = masked_kl(fp, np.array([[2], [0]]), np.array([1]), p_g, np.ones(3))
+        assert dfp[0, 0] == 0.0 and dfp[0, 2] != 0.0 and dfp[1, 2] == 0.0
+        # Row 0: all of its mass on the mask sits on expert 1, q = 0.5 / 0.8.
+        assert abs(vals[0] - np.log(0.8 / 0.5)) < 1e-12
+        pt, qt = np.array([0.4, 0.6]), np.array([2 / 7, 5 / 7])
+        assert abs(vals[1] - float(pt @ np.log(pt / qt))) < 1e-12
 
     def test_shapes(self):
         rng = np.random.default_rng(0)
         fp = softmax(rng.normal(size=(3, 5)))
         p_g, alpha = softmax(rng.normal(size=5)), rng.uniform(size=5)
-        vals, dfp = masked_kl(fp, p_g, alpha, 2)
+        topk, ref = top_k_select(fp, 2), top_k_select(p_g, 2)
+        vals, dfp = masked_kl(fp, topk, ref, p_g, alpha)
         assert vals.shape == (3,) and dfp.shape == (3, 5)
-        one, done = masked_kl(fp[:1], p_g, alpha, 2)
+        one, done = masked_kl(fp[:1], topk[:1], ref, p_g, alpha)
         assert one.shape == (1,) and done.shape == (1, 5)
         assert one[0] == vals[0] and np.array_equal(done[0], dfp[0])
 
@@ -357,10 +384,12 @@ class TestMaskedKl:
         self, seed, s, k_frac, b, logit_scale, pg_zeros, alpha_kind
     ):
         # Integer logits tie often; the large scale underflows entries of fp
-        # to exactly 0.
+        # to exactly 0. Each row's dispatch set is k distinct experts drawn
+        # at random, so it may hold experts whose fp is 0.
         rng = np.random.default_rng(seed)
         k = 1 + min(int(k_frac * s), s - 1)
         fp = softmax(logit_scale * rng.integers(-3, 4, size=(b, s)))
+        topk = np.sort(rng.permuted(np.tile(np.arange(s), (b, 1)), axis=1)[:, :k], axis=1)
         p_g = rng.dirichlet(np.ones(s))
         if pg_zeros:
             p_g[rng.uniform(size=s) < 0.5] = 0.0
@@ -371,10 +400,13 @@ class TestMaskedKl:
             "uniform": rng.uniform(size=s),
             "some-zero": rng.uniform(size=s) * (rng.uniform(size=s) < 0.5),
         }[alpha_kind]
-        vals, dfp = masked_kl(fp, p_g, alpha, k)
+        ref = top_k_select(p_g, k)
+        vals, dfp = masked_kl(fp, topk, ref, p_g, alpha)
         assert vals.shape == (b,) and dfp.shape == (b, s)
         for i in range(b):
-            want_val, want_dfp = oracles.masked_kl_row(fp[i], p_g, alpha, k, want_grad=True)
+            want_val, want_dfp = oracles.masked_kl_row(
+                fp[i], topk[i], p_g, alpha, k, want_grad=True
+            )
             if 2 * k < 8:
                 assert vals[i] == want_val
                 assert np.array_equal(dfp[i], want_dfp)
@@ -383,7 +415,7 @@ class TestMaskedKl:
                 assert abs(vals[i] - want_val) <= 1e-13
                 assert np.max(np.abs(dfp[i] - want_dfp)) <= 1e-13
             # One row alone takes `_expert_sum`'s single-column branch.
-            row_val, row_dfp = masked_kl(fp[i : i + 1], p_g, alpha, k)
+            row_val, row_dfp = masked_kl(fp[i : i + 1], topk[i : i + 1], ref, p_g, alpha)
             assert row_val[0] == vals[i] and np.array_equal(row_dfp[0], dfp[i])
 
 

@@ -62,10 +62,13 @@ class TestSoftmax:
 
 
 def kl_pair(p, q, alpha):
-    """`masked_kl` of the row [p, 1 - p] against [q, 1 - q] with k = S = 2,
-    so the mask holds both experts and the value is alpha-weighted KL
-    summands p*log(p/q)."""
-    vals, _ = masked_kl(np.array([[p, 1.0 - p]]), np.array([q, 1.0 - q]), np.array(alpha), 2)
+    """`masked_kl` of the row [p, 1 - p] against [q, 1 - q] with both
+    experts in the dispatch and reference sets, so the mask holds both and
+    the value is alpha-weighted KL summands p*log(p/q)."""
+    both = np.array([0, 1])
+    vals, _ = masked_kl(
+        np.array([[p, 1.0 - p]]), both[None], both, np.array([q, 1.0 - q]), np.array(alpha)
+    )
     return vals[0]
 
 
@@ -221,6 +224,15 @@ class TestSigmoid:
 
     def test_elementwise(self):
         np.testing.assert_allclose(sigmoid(np.array([0.0, 0.0])), [0.5, 0.5])
+
+    @settings(max_examples=200, deadline=None)
+    @example(x=np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.0, -745.0,
+                         709.8, -709.8, 1e308, -1e308]))
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                        elements=st.floats(allow_nan=False)))
+    def test_matches_scatter_oracle(self, x):
+        # Finite values of every magnitude, subnormals and infinities.
+        assert np.array_equal(sigmoid(x), oracles.sigmoid_scatter(x))
 
 
 class TestGradCheck:

@@ -12,7 +12,8 @@ here it fails the suite. Both modules are loaded from their
 files and only read, and `perfbench/selftest.py` runs unchanged in its own
 process, so a change that blinds one of the benchmark's checks fails here
 too. A top-level function or class that neither the package nor the tracer
-names is dead code, and fails here as well.
+names is dead code, and fails here as well, as does a dataclass field that
+nothing in the package reads.
 """
 
 import ast
@@ -79,6 +80,46 @@ def test_every_definition_is_used(tracing):
     assert not unused, f"defined under src/ but used by neither src/ nor the tracer: {unused}"
 
 
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def _calls_asdict_self(cls):
+    return any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "asdict" and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+        for node in ast.walk(cls)
+    )
+
+
+def test_every_dataclass_field_is_read():
+    # A field counts as read where an attribute load or a string constant
+    # under src/ names it (`getattr(params, b)` over BLOCKS); a class whose
+    # methods pass `asdict(self)` on reads all of its fields.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [
+        f"{name[:-3]}.{cls.name}.{stmt.target.id}"
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and any(_is_dataclass(d) for d in cls.decorator_list)
+        and not _calls_asdict_self(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+    assert not unread, f"dataclass fields that nothing under src/ reads: {unread}"
+
+
 def test_backward_lam_is_fourth_positional():
     from fedalign.model import backward
 
@@ -131,6 +172,10 @@ def test_traced_run_passes_aggregation_check(tracing, checks, method):
     if method == "fedalign":
         assert tracer.calls["model.backward_kl"] == steps
         assert tracer.calls["model.masked_kl"] > 0
+    # One top-k per forward, the batch's dispatch set, and one per client
+    # round, the reference set; the KL mask selects none of its own.
+    forwards = tracer.calls["model.forward"] + tracer.calls["harness.metrics_forward"]
+    assert tracer.calls["model.top_k_select"] == forwards + cfg.num_clients * cfg.rounds
 
 
 def test_selftest_catches_every_corruption():

@@ -444,9 +444,8 @@ class TestAggregationKernel:
             expert_delta(rng.normal(size=expert_rows(start).shape), start) for _ in range(n)
         ]
         for d in deltas:
-            d.embed, d.gate, d.head = (
-                rng.normal(size=getattr(start, b).shape) for b in ("embed", "gate", "head")
-            )
+            for b in ("embed", "gate", "head"):
+                getattr(d, b)[...] = rng.normal(size=getattr(start, b).shape)
         raw = rng.uniform(0.0, 1.0, size=(s, n))
         raw[rng.uniform(size=s) < zero_rows] = 0.0
         weights = raw / np.maximum(raw.sum(axis=1, keepdims=True), 1.0)
