@@ -26,7 +26,7 @@ class RegContext:
     lam: float  # balancing coefficient on the regularizer
     alpha: np.ndarray  # (S,) adaptive per-expert weights
     top_k: int  # experts per row, the size of the reference set
-    ref: np.ndarray = field(init=False)  # (top_k,) ascending top-k of p_g
+    ref: np.ndarray = field(init=False)  # (top_k,) top-k of p_g, dispatch order
 
     def __post_init__(self):
         self.p_g = np.asarray(self.p_g, dtype=np.float64)
@@ -71,16 +71,16 @@ def compute_margin(trace: M.ForwardTrace) -> np.ndarray:
 
 
 def compute_mu(trace: M.ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Mean hidden state per expert over samples whose argmax gate score is
-    that expert; empty assignment sets a zero row plus a flag.
+    """Mean hidden state per expert over samples whose argmax gate score,
+    `topk_idx[:, 0]`, is that expert; empty assignment sets a zero row plus a flag.
 
     One pass adds the rows onto zeros in sample order, which is how numpy
     reduces `hidden[rows].mean(axis=0)` whenever hidden_dim >= 2, so the
     means keep those bits; a single column would be summed pairwise."""
-    s = trace.scores.shape[1]
+    s = trace.full_probs.shape[1]
     h = trace.hidden
     width = h.shape[1]
-    assign = np.argmax(trace.scores, axis=1)  # ties -> lowest index
+    assign = trace.topk_idx[:, 0]
     count = np.bincount(assign, minlength=s)
     mu = np.zeros((s, width))
     # Flat 1-D indices take numpy's fast add.at path.

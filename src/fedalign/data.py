@@ -27,10 +27,12 @@ class SyntheticTask:
             raise ValueError("noise_std must be > 0")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be >= 1")
-        for i in range(self.num_classes):
-            for j in range(i + 1, self.num_classes):
-                if np.allclose(means[i], means[j]):
-                    raise ValueError(f"class means {i} and {j} coincide")
+        # np.allclose's test of row i against every later row at once; the
+        # first coinciding pair in (i, j) order is named.
+        for i in range(self.num_classes - 1):
+            close = np.isclose(means[i], means[i + 1 :]).all(axis=1)
+            if close.any():
+                raise ValueError(f"class means {i} and {i + 1 + close.argmax()} coincide")
         object.__setattr__(self, "class_means", means)
 
 

@@ -137,18 +137,15 @@ def init_params(config: MoEConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties broken by ascending index.
-
-    Returns the indices sorted ascending.
-    """
+    """Indices of the k largest scores in dispatch order: descending score,
+    ties to the lower index, so entry 0 is the argmax."""
     scores = np.asarray(scores)
     if k > scores.shape[-1]:
         raise ValueError(f"k={k} exceeds score length {scores.shape[-1]}")
     if k == 1:  # argmax also takes the lowest index among ties, without a sort
         return scores.argmax(axis=-1)[..., None]
     # Stable sort on negated scores keeps lower indices first among ties.
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
 @dataclass
@@ -158,9 +155,8 @@ class ForwardTrace:
     inputs: np.ndarray  # (B, input_dim)
     labels: np.ndarray | None  # (B,) int or None for pure inference
     hidden: np.ndarray  # (B, hidden_dim)
-    scores: np.ndarray  # (B, S) raw gate scores
     full_probs: np.ndarray  # (B, S) softmax over ALL experts
-    topk_idx: np.ndarray  # (B, k) ascending expert indices: each row's dispatch set
+    topk_idx: np.ndarray  # (B, k) each row's dispatch set; column 0 is the routing argmax
     topk_probs: np.ndarray  # (B, S) renormalized over the top-k, zero elsewhere
     residual: np.ndarray  # (B, hidden_dim) MoE output + hidden, the head's input
     logits: np.ndarray  # (B, num_classes)
@@ -233,7 +229,6 @@ def forward(
         inputs=x,
         labels=lab,
         hidden=h,
-        scores=g,
         full_probs=fp,
         topk_idx=topk_idx,
         topk_probs=tp,

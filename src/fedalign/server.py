@@ -47,6 +47,16 @@ class AggregationReport:
         return json.dumps(rec, sort_keys=True)
 
 
+def _normalize(mass: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """`mass` over its sums along `axis`, and the mask of sums below
+    NORM_FLOOR (`axis` dropped), where the quotient is left 0: the one
+    fallback test of omega, p_g and the expert weights."""
+    total = mass.sum(axis=axis, keepdims=True)
+    low = total < NORM_FLOOR
+    out = np.divide(mass, total, out=np.zeros_like(mass), where=~low)
+    return out, low.squeeze(axis)
+
+
 def consistency_weights(p_bar: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Per-expert client weights omega (N x S) from the clients' routing
     masses p_bar and top-1 margins, both (N, S).
@@ -55,17 +65,10 @@ def consistency_weights(p_bar: np.ndarray, margin: np.ndarray) -> np.ndarray:
     mass and the cross-client mean mass. Columns with total score below
     NORM_FLOOR fall back to uniform 1/N (logged).
     """
-    n = p_bar.shape[0]
-    mean_p = p_bar.mean(axis=0)
-    score = p_bar * mean_p[None, :] * margin  # o * m
-    col = score.sum(axis=0)
-    degenerate = col < NORM_FLOOR
-    if degenerate.any():
-        log.info("uniform omega fallback for experts %s", np.nonzero(degenerate)[0].tolist())
-    omega = np.empty_like(score)
-    omega[:, degenerate] = 1.0 / n
-    safe = ~degenerate
-    omega[:, safe] = score[:, safe] / col[safe][None, :]
+    omega, low = _normalize(p_bar * p_bar.mean(axis=0) * margin, axis=0)  # o * m
+    if low.any():
+        log.info("uniform omega fallback for experts %s", np.nonzero(low)[0].tolist())
+        omega[:, low] = 1.0 / p_bar.shape[0]
     return omega
 
 
@@ -76,12 +79,11 @@ def global_routing(p_bar: np.ndarray, omega: np.ndarray) -> np.ndarray:
     Per-expert weighting breaks simplex membership, so the raw vector is
     renormalized; an all-zero raw vector degenerates to uniform.
     """
-    raw = (omega * p_bar).sum(axis=0)
-    total = raw.sum()
-    if total < NORM_FLOOR:
+    p_g, low = _normalize((omega * p_bar).sum(axis=0), axis=0)
+    if low:
         log.info("uniform p_g fallback: all raw entries zero")
-        return np.full(raw.size, 1.0 / raw.size)
-    return raw / total
+        p_g[:] = 1.0 / p_g.size
+    return p_g
 
 
 def pairwise_semantics(
@@ -135,11 +137,8 @@ def expert_weights(gamma_row_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (weights (S, N), updated (S,) bool); experts whose gamma mass is
     below NORM_FLOOR are flagged not-updated (no consensus, no update).
     """
-    total = gamma_row_sums.sum(axis=1)  # (S,)
-    updated = total >= NORM_FLOOR
-    w = np.zeros_like(gamma_row_sums)
-    w[updated] = gamma_row_sums[updated] / total[updated, None]
-    return w, updated
+    w, low = _normalize(gamma_row_sums, axis=1)
+    return w, ~low
 
 
 def aggregate_experts(

@@ -174,6 +174,19 @@ def sigmoid_scatter(x):
     return out
 
 
+def coinciding_means_loop(means):
+    """Reference for `data.SyntheticTask`'s coinciding-means check: the
+    pairwise `np.allclose` loop it replaced. Returns the first coinciding
+    pair (i, j), i < j in lexicographic order, or None."""
+    import numpy as np
+
+    for i in range(len(means)):
+        for j in range(i + 1, len(means)):
+            if np.allclose(means[i], means[j]):
+                return i, j
+    return None
+
+
 NORM_FLOOR = 1e-12
 
 
@@ -311,7 +324,8 @@ def sparse_forward(params, x, k, labels=None):
     b, s = g.shape
     ez = np.exp(g - g.max(axis=1, keepdims=True))
     fp = ez / ez.sum(axis=1, keepdims=True)
-    topk_idx = np.sort(np.argsort(-g, axis=1, kind="stable")[:, :k], axis=1)
+    # Dispatch order: descending score, ties to the lower index.
+    topk_idx = np.argsort(-g, axis=1, kind="stable")[:, :k]
     masked = np.full_like(g, -np.inf)
     rows = np.arange(b)[:, None]
     masked[rows, topk_idx] = g[rows, topk_idx]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from helpers import apply_delta, gate_model
+from helpers import apply_delta, gate_model, softmax
 from fedalign.client import (
     RegContext,
     compute_alpha,
@@ -23,7 +23,14 @@ from fedalign.client import (
     reg_loss,
 )
 from fedalign.data import ClientDataset
-from fedalign.model import MoEConfig, ModelParams, expert_rows, forward, init_params
+from fedalign.model import (
+    MoEConfig,
+    ModelParams,
+    expert_rows,
+    forward,
+    init_params,
+    top_k_select,
+)
 
 
 def make_setup(seed=0, n=32, s=3, k=1, classes=3):
@@ -56,7 +63,7 @@ class TestRegContext:
 
     def test_reference_set_is_top_k_of_p_g(self):
         ctx = RegContext(np.array([0.3, 0.1, 0.6]), 0.1, np.ones(3), 2)
-        assert ctx.ref.tolist() == [0, 2]
+        assert ctx.ref.tolist() == [2, 0]
 
 
 class TestPBar:
@@ -99,10 +106,17 @@ class TestMargin:
         )
 
 
+def routed(scores, hidden, k=1):
+    """A trace whose rows are dispatched to the top k of their gate scores
+    `scores` (B, S), as `forward` routes them."""
+    return SimpleNamespace(full_probs=softmax(scores), topk_idx=top_k_select(scores, k),
+                           hidden=hidden)
+
+
 class TestMu:
     def test_all_to_one_expert(self):
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        trace = SimpleNamespace(scores=np.array([[2.0, 1.0], [3.0, 1.0]]), hidden=h)
+        trace = routed(np.array([[2.0, 1.0], [3.0, 1.0]]), h)
         mu, empty = compute_mu(trace)
         np.testing.assert_allclose(mu[0], h.mean(axis=0))
         assert not empty[0] and empty[1]
@@ -110,14 +124,14 @@ class TestMu:
 
     def test_one_sample_per_expert(self):
         h = np.array([[1.0, 2.0], [3.0, 4.0]])
-        trace = SimpleNamespace(scores=np.array([[2.0, 1.0], [1.0, 2.0]]), hidden=h)
+        trace = routed(np.array([[2.0, 1.0], [1.0, 2.0]]), h)
         mu, empty = compute_mu(trace)
         np.testing.assert_allclose(mu, h)
         assert not empty.any()
 
     def test_mean_of_two(self):
         h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        trace = SimpleNamespace(scores=np.array([[0.0, 1.0], [0.0, 1.0]]), hidden=h)
+        trace = routed(np.array([[0.0, 1.0], [0.0, 1.0]]), h)
         mu, _ = compute_mu(trace)
         np.testing.assert_allclose(mu[1], [0.5, 0.5])
 
@@ -127,10 +141,13 @@ class TestMuOracle:
     experts and -0.0 hidden entries."""
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), h=st.integers(2, 6))
-    def test_matches_loop_oracle(self, data, h):
+    @given(data=st.data(), h=st.integers(2, 6), k_frac=st.floats(0.0, 1.0))
+    def test_matches_loop_oracle(self, data, h, k_frac):
+        # The oracle assigns rows by their own argmax; the program by the
+        # first expert of the dispatch set, for any k.
         scores, hidden = data.draw(assignment_batch(h))
-        mu, empty = compute_mu(SimpleNamespace(scores=scores, hidden=hidden))
+        k = 1 + min(scores.shape[1] - 1, int(k_frac * scores.shape[1]))
+        mu, empty = compute_mu(routed(scores, hidden, k))
         want_mu, want_empty = oracles.compute_mu_loop(scores, hidden)
         assert np.array_equal(mu, want_mu)
         # Byte equality also tells -0.0 from 0.0.
@@ -143,7 +160,7 @@ class TestMuOracle:
         # numpy's mean sums a lone column pairwise, the one pass in sample
         # order: the two agree up to rounding only.
         scores, hidden = data.draw(assignment_batch(1))
-        mu, empty = compute_mu(SimpleNamespace(scores=scores, hidden=hidden))
+        mu, empty = compute_mu(routed(scores, hidden))
         want_mu, want_empty = oracles.compute_mu_loop(scores, hidden)
         np.testing.assert_allclose(mu, want_mu, rtol=0, atol=1e-13)
         assert np.array_equal(empty, want_empty)

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from fedalign.data import (
     ClientDataset,
     SyntheticTask,
@@ -32,6 +36,32 @@ class TestTask:
     def test_rejects_coincident_means(self):
         with pytest.raises(ValueError):
             SyntheticTask(2, 2, np.zeros((2, 2)), 1.0, 5)
+
+    def test_many_classes_checked_as_arrays(self):
+        # 3000 classes, about 4.5 million pairs, which a Python loop over
+        # pairs takes minutes to check; a pair far apart is still named.
+        means = np.random.default_rng(0).normal(size=(3000, 16))
+        SyntheticTask(3000, 16, means, 1.0, 1)
+        means[2999] = means[3] + 1e-9
+        with pytest.raises(ValueError, match="class means 3 and 2999 coincide"):
+            SyntheticTask(3000, 16, means, 1.0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        means=hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+            elements=st.sampled_from([0.0, -0.0, 1e-9, 1.0, 1.0 + 1e-6, 1e5, 1e5 + 0.9]),
+        )
+    )
+    def test_coincidence_matches_allclose_loop(self, means):
+        # Few distinct values, so coinciding and near pairs are common.
+        want = oracles.coinciding_means_loop(means)
+        c, d = means.shape
+        if want is None:
+            SyntheticTask(c, d, means, 1.0, 1)
+        else:
+            with pytest.raises(ValueError, match=f"class means {want[0]} and {want[1]} coincide"):
+                SyntheticTask(c, d, means, 1.0, 1)
 
 
 class TestGenerate:
