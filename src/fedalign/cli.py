@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -51,16 +52,28 @@ def _fail(error: str, details, code: int) -> int:
     return code
 
 
+def blocking_file(out) -> Path | None:
+    """The file at `out` or at its nearest existing ancestor, which keeps
+    `out` from becoming the output directory; None if there is none."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            return None if path.is_dir() else path
+    return None
+
+
 def main(argv=None) -> int:
     """Exit 0 on success, 2 on an invalid config (including a data partition
-    the config cannot produce) or one whose arrays do not fit in memory, 3
-    when training diverges."""
+    the config cannot produce), an output path that a file blocks, or a run
+    whose arrays do not fit in memory, 3 when training diverges."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
     except (OSError, ValueError) as exc:  # ConfigError, bad JSON or encoding
         errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
         return _fail("invalid-config", errors, 2)
+    blocker = blocking_file(args.out)
+    if blocker is not None:  # checked before training, not when writing
+        return _fail("invalid-output", f"--out {args.out}: {blocker} is not a directory", 2)
     try:
         # A diverging run overflows in numpy before the explicit finiteness
         # checks raise; keep numpy's warnings off stderr so the error JSON is

@@ -314,36 +314,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             mu[:, i], mu_empty[:, i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
             local_gates[i] = start.gate + res.param_delta.gate
 
+        global_params, p_g, report = S.aggregate_round(
+            global_params, deltas, p_bar, margin, mu, mu_empty, size_w, t,
+            beta=cfg.beta,
+            fixed_tau=cfg.fixed_tau,
+            consistency=is_align and not cfg.ablated("no_consistency_weighting"),
+            semantic_weights=is_align and not cfg.ablated("uniform_gamma"),
+            direction=not cfg.ablated("no_direction_consensus"),
+        )
+
         mean_p = p_bar.mean(axis=0)
-        if is_align and not cfg.ablated("no_consistency_weighting"):
-            omega = S.consistency_weights(p_bar, margin)
-            p_g_new = S.global_routing(p_bar, omega)
-        else:
-            omega = np.full((n, s), 1.0 / n)
-            p_g_new = mean_p / mean_p.sum()
-
-        # Semantic gating one expert at a time: only its (N, N) matrices
-        # are held, and gamma is kept as its (S, N) row sums.
-        tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
-        for e in range(s):
-            sim, dcons = S.pairwise_semantics(
-                mu[e], mu_empty[e], M.expert_rows(deltas, np.s_[:, e])
-            )
-            tau[e], mean_sim[e], disp[e] = S.adaptive_threshold(sim, cfg.beta)
-            if cfg.fixed_tau is not None:
-                tau[e] = cfg.fixed_tau
-            gamma = S.gated_weights(sim, dcons, tau[e], not cfg.ablated("no_direction_consensus"))
-            gamma_rows[e] = gamma.sum(axis=1)
-
-        if is_align and not cfg.ablated("uniform_gamma"):
-            w_experts, updated = S.expert_weights(gamma_rows)
-        else:
-            # Degenerate/baseline path: size-weighted averaging of every expert.
-            w_experts = np.tile(size_w, (s, 1))
-            updated = np.ones(s, dtype=bool)
-
-        global_params = S.aggregate_experts(global_params, deltas, w_experts, updated, size_w)
-
         post_p_bar, local_accs = shard_routing(mcfg, client_start, shards)
         records.append(
             RoundRecord(
@@ -353,28 +333,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 local_accuracy_std=float(np.std(local_accs)),
                 mean_local_loss=float(np.mean(local_loss)),
                 mean_reg_loss=float(np.mean(reg_loss)),
-                routing_disagreement_pre=float(total_variation(p_bar, p_g_new).mean()),
-                routing_disagreement_post=float(total_variation(post_p_bar, p_g_new).mean()),
+                routing_disagreement_pre=float(total_variation(p_bar, p_g).mean()),
+                routing_disagreement_post=float(total_variation(post_p_bar, p_g).mean()),
                 routing_spread_pre=float(total_variation(p_bar, mean_p).mean()),
                 routing_spread_post=float(
                     total_variation(post_p_bar, post_p_bar.mean(axis=0)).mean()
                 ),
                 routing_disruption=float(total_variation(post_p_bar, p_bar).mean()),
-                expert_semantic_divergence=float(np.mean(1.0 - mean_sim)),
+                expert_semantic_divergence=float(np.mean(1.0 - report.mean_sim)),
             )
         )
-        reports.append(
-            S.AggregationReport(
-                round_index=t,
-                omega=omega,
-                gamma_row_sums=gamma_rows,
-                mean_sim=mean_sim,
-                dispersion=disp,
-                tau=tau,
-            )
-        )
+        reports.append(report)
 
-        p_g = p_g_new
         prev_mean = mean_p
         prev_p_bar = p_bar
 

@@ -9,7 +9,7 @@ one expert at a time: its mu rows (N, H), its update rows (N, P) and its
 (N, N) similarity, consensus and gate matrices; only gamma's (S, N) row
 sums reach `expert_weights`. Every block is aggregated by the one kernel
 `weighted_average`, which accumulates in ascending client order, so results
-are bitwise reproducible.
+are bitwise reproducible. `aggregate_round` joins them into the round.
 """
 
 from __future__ import annotations
@@ -165,6 +165,42 @@ def aggregate_experts(
             new[frozen] = old[frozen]
         out.append(new)
     return M.ModelParams(*out)
+
+
+def aggregate_round(
+    global_params, deltas, p_bar, margin, mu, mu_empty, size_weights, round_index, *,
+    beta, fixed_tau=None, consistency=True, semantic_weights=True, direction=True,
+) -> tuple[M.ModelParams, np.ndarray, AggregationReport]:
+    """The server's round from the stacked uploads (p_bar and margin (N, S),
+    mu (S, N, H), mu_empty (S, N), deltas): the new global model, p_g (S,)
+    and the report. Without `consistency` omega is uniform and p_g the
+    renormalized mean p_bar; `fixed_tau` replaces every adaptive tau,
+    `direction=False` drops D, and without `semantic_weights` every expert
+    is size-weighted and updated."""
+    n, s = p_bar.shape
+    if consistency:
+        omega = consistency_weights(p_bar, margin)
+        p_g = global_routing(p_bar, omega)
+    else:
+        mean_p = p_bar.mean(axis=0)
+        omega = np.full((n, s), 1.0 / n)
+        p_g = mean_p / mean_p.sum()
+
+    tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
+    for e in range(s):
+        sim, dcons = pairwise_semantics(mu[e], mu_empty[e], M.expert_rows(deltas, np.s_[:, e]))
+        tau[e], mean_sim[e], disp[e] = adaptive_threshold(sim, beta)
+        if fixed_tau is not None:
+            tau[e] = fixed_tau
+        gamma_rows[e] = gated_weights(sim, dcons, tau[e], direction).sum(axis=1)
+
+    if semantic_weights:
+        w_experts, updated = expert_weights(gamma_rows)
+    else:
+        w_experts, updated = np.tile(size_weights, (s, 1)), np.ones(s, dtype=bool)
+    new_params = aggregate_experts(global_params, deltas, w_experts, updated, size_weights)
+    report = AggregationReport(round_index, omega, gamma_rows, mean_sim, disp, tau)
+    return new_params, p_g, report
 
 
 def weighted_average(blocks, weights: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Test tools: builders for client updates (a `ModelParams` of deltas made
 from per-expert rows, and the model a delta leads to), a container for one
 client's routing statistics and the stacked arrays the server takes from
-per-client uploads, the round loop's per-expert semantic gating, row scales
+per-client uploads, a zero model to aggregate a round onto, row scales
 around NORM_FLOOR for property tests, the `np.longdouble` conversion for
 80-bit references and the cosine's rounding bound, a plain softmax for
 building inputs, a model whose gate scores are its inputs and `forward`'s
@@ -12,9 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fedalign.model import MoEConfig, ModelParams, expert_rows, forward
+from fedalign.model import MoEConfig, ModelParams, forward
 from fedalign.numeric import NORM_FLOOR
-from fedalign.server import adaptive_threshold, gated_weights, pairwise_semantics
 
 # Row scales that put norms at zero, on both sides of NORM_FLOOR, and well
 # above it.
@@ -93,23 +92,10 @@ def stack_uploads(stats, deltas=()):
     return up
 
 
-def semantic_gating(mu, mu_empty, deltas, beta, fixed_tau=None, use_direction=True):
-    """The semantic gating of `harness.run_experiment`'s round loop, one
-    expert at a time: `pairwise_semantics` on expert e's mu rows, empty
-    flags and update rows, `adaptive_threshold` (its tau replaced by
-    fixed_tau when set) and `gated_weights`, summed over partner clients.
-    Takes mu (S, N, H), mu_empty (S, N) and the stacked deltas; returns tau,
-    mean_sim and dispersion (S,) and gamma's row sums (S, N), the input of
-    `expert_weights`."""
-    s, n = mu_empty.shape
-    tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
-    for e in range(s):
-        sim, dcons = pairwise_semantics(mu[e], mu_empty[e], expert_rows(deltas, np.s_[:, e]))
-        tau[e], mean_sim[e], disp[e] = adaptive_threshold(sim, beta)
-        if fixed_tau is not None:
-            tau[e] = fixed_tau
-        gamma_rows[e] = gated_weights(sim, dcons, tau[e], use_direction).sum(axis=1)
-    return tau, mean_sim, disp, gamma_rows
+def zero_model(deltas):
+    """A model of zeros shaped like one client's update in the stacked
+    `deltas`: aggregated from it, a round's new model is its own update."""
+    return ModelParams(*(np.zeros(getattr(deltas, b).shape[1:]) for b in ModelParams.BLOCKS))
 
 
 def apply_delta(params, delta):

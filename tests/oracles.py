@@ -291,6 +291,22 @@ def semantic_chain_batched(mu, mu_empty, deltas, beta, fixed_tau=None, use_direc
     )
 
 
+def compute_margin_sort(fp):
+    """Reference for `client.compute_margin`: each sample's top expert and
+    runner-up by a stable sort of its full-softmax row `fp` (B, S), the
+    positive gap added onto the top expert in sample order, over B."""
+    import numpy as np
+
+    s = fp.shape[1]
+    rows = np.arange(fp.shape[0])
+    order = np.argsort(-fp, axis=1, kind="stable")
+    top = order[:, 0]
+    gap = fp[rows, top] - (fp[rows, order[:, 1]] if s > 1 else 0.0)
+    margin = np.zeros(s)
+    np.add.at(margin, top, np.maximum(gap, 0.0))
+    return margin / fp.shape[0]
+
+
 def compute_mu_loop(scores, hidden):
     """Reference for `client.compute_mu`: one expert at a time, the mean of
     the hidden rows whose argmax score (ties to the lower index) is that

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import (
-    Stats, expert_delta, gate_softmax, grad_check, semantic_gating, stack_uploads
-)
+from helpers import Stats, expert_delta, gate_softmax, grad_check, stack_uploads, zero_model
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -126,7 +124,7 @@ def test_criterion_2_formula_oracles(report):
         oracles.P_BAR_TWO_SAMPLES, atol=1e-9))
     checks.append(np.allclose(
         C.compute_margin(type("T", (), {"full_probs": np.array(
-            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])})),
+            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]), "topk_idx": np.array([[0], [1]])})),
         oracles.MARGIN_TWO_SAMPLES, atol=1e-9))
     kl, _ = M.masked_kl(np.array([[0.9, 0.1]]), both[None], both, np.array([0.5, 0.5]), np.ones(2))
     checks.append(abs(kl[0] - oracles.MASKED_KL_09_05) < 1e-9)
@@ -201,20 +199,19 @@ def test_criterion_4_homogeneity_fixed_point(report):
         ]
         deltas = [expert_delta(d) for _ in range(n)]
         up = stack_uploads(stats, deltas)
-        omega = S.consistency_weights(up.p_bar, up.margin)
-        p_g = S.global_routing(up.p_bar, omega)
-        tau, _, _, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
-        w, updated = S.expert_weights(rows)
-        update = np.einsum("en,enp->ep", w,
-                           np.stack([M.expert_rows(dl) for dl in deltas], axis=1))
+        new, p_g, rep = S.aggregate_round(
+            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
+            np.full(n, 1.0 / n), 1, beta=0.5,
+        )
+        # From a zero model the new expert rows are the aggregated update; an
+        # expert left not updated would keep zero rows, a deviation of |d|.
         worst = max(
             worst,
-            float(np.abs(omega - 1.0 / n).max()),
+            float(np.abs(rep.omega - 1.0 / n).max()),
             float(np.abs(p_g - p_bar).max()),
-            float(np.abs(tau - 1.0).max()),
-            float(np.abs(update - d).max()),
+            float(np.abs(rep.tau - 1.0).max()),
+            float(np.abs(M.expert_rows(new) - d).max()),
         )
-        assert updated.all()
     ok = worst < 1e-9
     report(4, "homogeneity fixed point", ok, f"max deviation {worst:.2e}")
 
@@ -233,28 +230,18 @@ def test_criterion_5_permutation_equivariance(report):
     deltas = [expert_delta(rng.normal(size=(s, p))) for _ in range(n)]
 
     def pipeline(order):
-        st = [stats[i] for i in order]
-        dl = [deltas[i] for i in order]
-        up = stack_uploads(st, dl)
-        omega = S.consistency_weights(up.p_bar, up.margin)
-        p_g = S.global_routing(up.p_bar, omega)
-        tau, _, _, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
-        w, updated = S.expert_weights(rows)
-        # Canonical accumulation: ascending original client id.
+        up = stack_uploads([stats[i] for i in order], [deltas[i] for i in order])
+        new, p_g, rep = S.aggregate_round(
+            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
+            np.full(n, 1.0 / n), 1, beta=0.5,
+        )
+        # Per-client columns back in original client-id order.
         inv = np.argsort(order)
-        agg = np.zeros_like(M.expert_rows(dl[0]))
-        for e in range(s):
-            for i in inv:
-                agg[e] += w[e, i] * M.expert_rows(dl[i])[e]
-        return p_g, tau, agg
+        return p_g, rep.tau, M.expert_rows(new), rep.omega[inv], rep.gamma_row_sums[:, inv]
 
     base = pipeline(np.arange(n))
     shuf = pipeline(np.array([4, 0, 5, 2, 1, 3]))
-    worst = max(
-        float(np.abs(base[0] - shuf[0]).max()),
-        float(np.abs(base[1] - shuf[1]).max()),
-        float(np.abs(base[2] - shuf[2]).max()),
-    )
+    worst = max(float(np.abs(a - b).max()) for a, b in zip(base, shuf))
     ok = worst <= 1e-12
     report(5, "permutation equivariance", ok, f"max deviation {worst:.2e}")
 

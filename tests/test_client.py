@@ -84,26 +84,59 @@ class TestPBar:
         )
 
 
+def margin_trace(full_probs):
+    """A trace whose rows are routed first to their largest probability."""
+    return SimpleNamespace(full_probs=full_probs, topk_idx=top_k_select(full_probs, 1))
+
+
 class TestMargin:
     def test_constant_probs(self):
-        trace = SimpleNamespace(full_probs=np.array([[0.7, 0.3], [0.7, 0.3]]))
+        trace = margin_trace(np.array([[0.7, 0.3], [0.7, 0.3]]))
         np.testing.assert_allclose(compute_margin(trace), [0.4, 0.0], atol=1e-9)
 
     def test_uniform_probs(self):
-        trace = SimpleNamespace(full_probs=np.full((3, 4), 0.25))
+        trace = margin_trace(np.full((3, 4), 0.25))
         np.testing.assert_allclose(compute_margin(trace), 0.0, atol=1e-12)
 
     def test_single_expert_runner_up_is_zero(self):
-        trace = SimpleNamespace(full_probs=np.ones((3, 1)))
+        trace = margin_trace(np.ones((3, 1)))
         assert compute_margin(trace).tolist() == [1.0]
 
     def test_hand_average(self):
-        trace = SimpleNamespace(
-            full_probs=np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
-        )
+        trace = margin_trace(np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]))
         np.testing.assert_allclose(
             compute_margin(trace), oracles.MARGIN_TWO_SAMPLES, atol=1e-9
         )
+
+
+class TestMarginOracle:
+    """The margin credited to the routing argmax against its own stable sort
+    of the softmax, byte for byte, on `forward`'s routing of gate scores
+    with tied columns, scales from 1e-18 to 400, all-zero rows, S = 1 and
+    every k."""
+
+    @staticmethod
+    def check(scores, k):
+        trace, _ = forward(*gate_model(scores.shape[1], k), scores)
+        want = oracles.compute_margin_sort(trace.full_probs)
+        assert compute_margin(trace).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_sort_oracle(self, data):
+        s = data.draw(st.integers(1, 8))
+        scale = data.draw(st.sampled_from([1e-18, 1e-9, 1.0, 30.0, 400.0]))
+        scores = data.draw(hnp.arrays(
+            np.float64, (data.draw(st.integers(1, 20)), s),
+            elements=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-3, 3)),
+        )) * scale
+        for j in data.draw(st.lists(st.integers(0, s - 1), max_size=3)):
+            scores[:, j] = scores[:, 0]  # tied gate columns
+        self.check(scores, data.draw(st.integers(1, s)))
+
+    @pytest.mark.parametrize("s, k", [(1, 1), (4, 1), (4, 2), (4, 4)])
+    def test_all_zero_scores(self, s, k):
+        self.check(np.zeros((5, s)), k)
 
 
 def routed(scores, hidden, k=1):

@@ -17,13 +17,14 @@ from helpers import (
     cosine_error_bound,
     expert_delta,
     extended,
-    semantic_gating,
     stack_uploads,
+    zero_model,
 )
 from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_rows, init_params
 from fedalign.server import (
     adaptive_threshold,
     aggregate_experts,
+    aggregate_round,
     consistency_weights,
     expert_weights,
     gated_weights,
@@ -140,7 +141,7 @@ def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
 
 
 def expert_semantics(up, e):
-    """`pairwise_semantics` of expert e, as the round loop calls it."""
+    """`pairwise_semantics` of expert e, as `aggregate_round` calls it."""
     return pairwise_semantics(up.mu[e], up.mu_empty[e], expert_rows(up.deltas, np.s_[:, e]))
 
 
@@ -279,10 +280,10 @@ class TestGatedWeights:
 
 
 class TestPerExpertMatchesBatchedOracle:
-    """The round loop's one-expert-at-a-time gating against slice e of the
+    """The server's one-expert-at-a-time gating against slice e of the
     batched (S, N, N) chain in `oracles.semantic_chain_batched`, bit for
-    bit: each per-expert server function, the `helpers.semantic_gating`
-    loop and `expert_weights` on its row sums. The explicit examples hold
+    bit: each per-expert server function, `expert_weights` on the row sums
+    and `aggregate_round`'s report and model. The explicit examples hold
     N = 1 and S = 1, an empty mu, a zero update row and a fixed tau."""
 
     @settings(max_examples=80, deadline=None)
@@ -334,14 +335,19 @@ class TestPerExpertMatchesBatchedOracle:
                 assert tau == want.tau[e]
             gamma = gated_weights(sim, dcons, want.tau[e], use_direction)
             assert np.array_equal(gamma, want.gamma[e])
-        tau, mean_sim, disp, rows = semantic_gating(
-            up.mu, up.mu_empty, up.deltas, beta, fixed_tau, use_direction
+        size_w = np.full(n, 1.0 / n)
+        new, _, rep = aggregate_round(
+            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
+            size_w, 1, beta=beta, fixed_tau=fixed_tau, direction=use_direction,
         )
-        for got, ref in ((tau, want.tau), (mean_sim, want.mean_sim), (disp, want.disp),
-                         (rows, want.gamma_row_sums)):
+        for got, ref in ((rep.tau, want.tau), (rep.mean_sim, want.mean_sim),
+                         (rep.dispersion, want.disp), (rep.gamma_row_sums, want.gamma_row_sums)):
             assert np.array_equal(got, ref)
-        w, updated = expert_weights(rows)
+        w, updated = expert_weights(rep.gamma_row_sums)
         assert np.array_equal(w, want.weights) and np.array_equal(updated, want.updated)
+        ref = aggregate_experts(zero_model(up.deltas), up.deltas, want.weights, want.updated,
+                                size_w)
+        assert new.flat.tobytes() == ref.flat.tobytes()
 
 
 class TestExpertAggregation:
@@ -483,21 +489,17 @@ class TestPermutationEquivariance:
 
         def pipeline(st, dl):
             up = stack_uploads(st, dl)
-            omega = consistency_weights(up.p_bar, up.margin)
-            p_g = global_routing(up.p_bar, omega)
-            tau, _, _, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
-            w, updated = expert_weights(rows)
-            agg = np.zeros_like(expert_rows(dl[0]))
-            for e in range(s):
-                for i in range(len(dl)):
-                    agg[e] += w[e, i] * expert_rows(dl[i])[e]
-            return p_g, tau, agg
+            new, p_g, rep = aggregate_round(
+                zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
+                np.full(n, 1.0 / n), 1, beta=0.5,
+            )
+            return p_g, rep.tau, expert_rows(new)
 
         perm = [3, 1, 4, 0, 2]
         base = pipeline(stats, deltas)
         shuf = pipeline([stats[i] for i in perm], [deltas[i] for i in perm])
-        # Aggregation re-sorts by client id internally in the harness; here
-        # the reduction order changes, so demand 1e-12 closeness.
+        # The server sums in the order the clients arrive, so the reduction
+        # order changes; demand 1e-12 closeness.
         np.testing.assert_allclose(base[0], shuf[0], atol=1e-12)
         np.testing.assert_allclose(base[1], shuf[1], atol=1e-12)
         np.testing.assert_allclose(base[2], shuf[2], atol=1e-12)
@@ -515,17 +517,14 @@ class TestHomogeneityFixedPoint:
         stats = [make_stats(p_bar, margin, mu=mu) for _ in range(n)]
         deltas = [expert_delta(d) for _ in range(n)]
         up = stack_uploads(stats, deltas)
-        omega = consistency_weights(up.p_bar, up.margin)
-        np.testing.assert_allclose(omega, 1.0 / n, atol=1e-9)
-        p_g = global_routing(up.p_bar, omega)
+        new, p_g, rep = aggregate_round(
+            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
+            np.full(n, 1.0 / n), 1, beta=0.5,
+        )
+        np.testing.assert_allclose(rep.omega, 1.0 / n, atol=1e-9)
         np.testing.assert_allclose(p_g, p_bar, atol=1e-9)
-        tau, mean_sim, disp, rows = semantic_gating(up.mu, up.mu_empty, up.deltas, 0.5)
-        np.testing.assert_allclose(tau, 1.0, atol=1e-9)
-        np.testing.assert_allclose(disp, 0.0, atol=1e-9)
-        w, updated = expert_weights(rows)
-        assert updated.all()
-        acc = np.zeros((s, p))
-        for e in range(s):
-            for i in range(n):
-                acc[e] += w[e, i] * expert_rows(deltas[i])[e, :p]
-        np.testing.assert_allclose(acc, d, atol=1e-9)
+        np.testing.assert_allclose(rep.tau, 1.0, atol=1e-9)
+        np.testing.assert_allclose(rep.dispersion, 0.0, atol=1e-9)
+        # From a zero model the new expert rows are the aggregated update; an
+        # expert left not updated would keep zero rows.
+        np.testing.assert_allclose(expert_rows(new)[:, :p], d, atol=1e-9)
