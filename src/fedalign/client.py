@@ -141,7 +141,7 @@ def local_round(
             trace, loss = M.forward(config, params, features[start:stop], labels[start:stop])
             if loss is None or not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss, aborting round")
-            grad = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx).flat
+            grad = M.backward(trace, params, lam=ctx.lam, reg_ctx=ctx).flat
             if prox_mu > 0.0 and prox_ref is not None:
                 grad += prox_mu * (theta - prox_ref.flat)
             theta -= lr * grad

@@ -1,4 +1,4 @@
-"""Config-driven round-loop orchestrator.
+"""Config-driven round loop: `setup` builds the run, `run_round` steps it.
 
 One root seed drives every stochastic site through named child streams, so
 identical configs produce byte-identical metrics files. All three methods
@@ -217,34 +217,36 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
-def shard_routing(
-    config: M.MoEConfig, client_params, shards: list[ClientDataset]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each shard under its client's model `client_params(i)`: the mean
-    top-k routing mass (N, S) and the argmax-correct fraction (N,)."""
-    p_bar, acc = np.empty((len(shards), config.num_experts)), np.empty(len(shards))
-    for i, shard in enumerate(shards):
-        trace, _ = M.forward(config, client_params(i), shard.features)
-        p_bar[i] = C.compute_p_bar(trace)
-        acc[i] = (np.argmax(trace.logits, axis=1) == shard.labels).mean()
-    return p_bar, acc
+@dataclass(frozen=True)
+class RunData:
+    """What `setup` builds once and every round only reads."""
+    model_config: M.MoEConfig
+    shards: list[ClientDataset]
+    size_weights: np.ndarray  # (N,) shard sizes over their total
+    test_x: np.ndarray
+    test_y: np.ndarray
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
+@dataclass(frozen=True)
+class RoundState:
+    """What one round hands the next; its arrays are replaced, never written."""
+    global_params: M.ModelParams
+    gates: np.ndarray  # (N, H, S) each client's own gate, read under no_gating_broadcast
+    p_g: np.ndarray  # (S,) global routing reference
+    prev_p_bar: np.ndarray  # (N, S) last round's pre-aggregation p_bar, alpha's input
+
+
+def setup(cfg: ExperimentConfig) -> tuple[RunData, RoundState]:
+    """Validate `cfg` and build the run's data and the state before round 1:
+    the initial model on every client and uniform routing."""
     errors = cfg.validate()
     if errors:
         raise ConfigError(errors)
-    mcfg = cfg.model_config()
-    s, n = cfg.num_experts, cfg.num_clients
-
+    n, s = cfg.num_clients, cfg.num_experts
     try:  # an unlearnable task or an impossible partition is a config error
         task = make_default_task(
-            cfg.num_classes,
-            cfg.input_dim,
-            cfg.samples_per_class,
-            cfg.noise_std,
-            child_rng(cfg.seed, "task"),
-            mean_scale=cfg.mean_scale,
+            cfg.num_classes, cfg.input_dim, cfg.samples_per_class, cfg.noise_std,
+            child_rng(cfg.seed, "task"), mean_scale=cfg.mean_scale,
         )
         train_x, train_y = generate(task, child_rng(cfg.seed, "data"))
         shards = dirichlet_partition(
@@ -255,100 +257,108 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
     test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
     sizes = np.array([shard.size for shard in shards], dtype=np.float64)
-    size_w = sizes / sizes.sum()
+    data = RunData(cfg.model_config(), shards, sizes / sizes.sum(), test_x, test_y)
+    params = M.init_params(data.model_config, child_rng(cfg.seed, "init"))
+    gates = np.broadcast_to(params.gate, (n, *params.gate.shape))
+    return data, RoundState(params, gates, np.full(s, 1.0 / s), np.full((n, s), 1.0 / s))
 
-    global_params = M.init_params(mcfg, child_rng(cfg.seed, "init"))
-    # Client i's own gate, used in place of the global one under
-    # no_gating_broadcast. Entries are rebound, never written in place.
-    local_gates = [global_params.gate] * n
 
-    def client_start(i: int) -> M.ModelParams:  # client i's model, in training and metrics
-        if cfg.ablated("no_gating_broadcast"):
-            return replace(global_params, gate=local_gates[i])
-        return global_params
+def client_start(cfg: ExperimentConfig, state: RoundState, i: int) -> M.ModelParams:
+    """Client i's model, in training and in the metrics: the global model,
+    with the client's own gate under no_gating_broadcast."""
+    if cfg.ablated("no_gating_broadcast"):
+        return replace(state.global_params, gate=state.gates[i])
+    return state.global_params
 
-    # The round's client updates: row i of the (N, P) buffer is client i's
-    # flat update, refilled as its round returns; each block leads with N.
-    deltas = M.ModelParams.from_flat(np.empty((n, global_params.flat.size)), global_params.shapes)
-    p_g = np.full(s, 1.0 / s)
-    prev_mean = np.full(s, 1.0 / s)
-    prev_p_bar = np.full((n, s), 1.0 / s)
 
+def shard_routing(
+    cfg: ExperimentConfig, data: RunData, state: RoundState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each shard under its client's model in `state`: the mean top-k
+    routing mass (N, S) and the argmax-correct fraction (N,)."""
+    p_bar, acc = np.empty((cfg.num_clients, cfg.num_experts)), np.empty(cfg.num_clients)
+    for i, shard in enumerate(data.shards):
+        trace, _ = M.forward(data.model_config, client_start(cfg, state, i), shard.features)
+        p_bar[i] = C.compute_p_bar(trace)
+        acc[i] = (np.argmax(trace.logits, axis=1) == shard.labels).mean()
+    return p_bar, acc
+
+
+def run_round(
+    cfg: ExperimentConfig, data: RunData, state: RoundState, t: int
+) -> tuple[RoundState, RoundRecord, S.AggregationReport]:
+    """Round t from `state`: the clients train, the server aggregates and the
+    shards are measured under the next state. Returns that state, the record
+    and the report; no input is written and every draw is a `child_rng`."""
+    n, s = cfg.num_clients, cfg.num_experts
     is_align = cfg.method == "fedalign"
-    records: list[RoundRecord] = []
-    reports: list[S.AggregationReport] = []
+    if is_align and not cfg.ablated("no_adaptive_alpha"):
+        alpha = C.compute_alpha(state.prev_p_bar * state.prev_p_bar.mean(axis=0), cfg.eta)
+    else:
+        alpha = np.ones((n, s))
+    # Row i of every upload is client i's; each block of `deltas` leads with N.
+    shapes = state.global_params.shapes
+    deltas = M.ModelParams.from_flat(np.empty((n, state.global_params.flat.size)), shapes)
+    gates = np.empty_like(deltas.gate)
+    p_bar, margin = np.empty((n, s)), np.empty((n, s))
+    mu, mu_empty = np.empty((s, n, cfg.hidden_dim)), np.empty((s, n), dtype=bool)
+    local_loss, reg_loss = np.empty(n), np.empty(n)
+    for i, shard in enumerate(data.shards):
+        start = client_start(cfg, state, i)
+        ctx = C.RegContext(state.p_g, cfg.lam if is_align else 0.0, alpha[i], cfg.top_k)
+        try:
+            res = C.local_round(
+                data.model_config, start, shard, ctx, epochs=cfg.local_epochs, lr=cfg.lr,
+                rng=child_rng(cfg.seed, "client", i, "round", t), batch_size=cfg.batch_size,
+                prox_mu=cfg.prox_mu if cfg.method == "fedprox" else 0.0,
+                prox_ref=state.global_params if cfg.method == "fedprox" else None,
+            )
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
+        deltas.flat[i] = res.param_delta.flat
+        gates[i] = start.gate + res.param_delta.gate
+        p_bar[i], margin[i], local_loss[i] = res.p_bar, res.margin, res.mean_local_loss
+        mu[:, i], mu_empty[:, i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
 
+    global_params, p_g, report = S.aggregate_round(
+        state.global_params, deltas, p_bar, margin, mu, mu_empty, data.size_weights, t,
+        beta=cfg.beta,
+        fixed_tau=cfg.fixed_tau,
+        consistency=is_align and not cfg.ablated("no_consistency_weighting"),
+        semantic_weights=is_align and not cfg.ablated("uniform_gamma"),
+        direction=not cfg.ablated("no_direction_consensus"),
+    )
+    nxt = RoundState(global_params, gates, p_g, p_bar)
+    post_p_bar, local_accs = shard_routing(cfg, data, nxt)
+    record = RoundRecord(
+        round_index=t,
+        global_accuracy=evaluate(data.model_config, global_params, data.test_x, data.test_y),
+        local_accuracy_mean=float(np.mean(local_accs)),
+        local_accuracy_std=float(np.std(local_accs)),
+        mean_local_loss=float(np.mean(local_loss)),
+        mean_reg_loss=float(np.mean(reg_loss)),
+        routing_disagreement_pre=float(total_variation(p_bar, p_g).mean()),
+        routing_disagreement_post=float(total_variation(post_p_bar, p_g).mean()),
+        routing_spread_pre=float(total_variation(p_bar, p_bar.mean(axis=0)).mean()),
+        routing_spread_post=float(total_variation(post_p_bar, post_p_bar.mean(axis=0)).mean()),
+        routing_disruption=float(total_variation(post_p_bar, p_bar).mean()),
+        expert_semantic_divergence=float(np.mean(1.0 - report.mean_sim)),
+    )
+    return nxt, record, report
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
+    data, state = setup(cfg)
     # Pre-aggregation reference level: per-shard routing spread of the
     # initial model, before any training or aggregation has happened.
-    init_p_bar, _ = shard_routing(mcfg, client_start, shards)
+    init_p_bar, _ = shard_routing(cfg, data, state)
     initial_disagreement = float(total_variation(init_p_bar, init_p_bar.mean(axis=0)).mean())
-
+    records, reports = [], []
     for t in range(1, cfg.rounds + 1):
-        p_bar, margin = np.empty((n, s)), np.empty((n, s))
-        mu, mu_empty = np.empty((s, n, cfg.hidden_dim)), np.empty((s, n), dtype=bool)
-        local_loss, reg_loss = np.empty(n), np.empty(n)
-        if is_align and not cfg.ablated("no_adaptive_alpha"):
-            alpha = C.compute_alpha(prev_p_bar * prev_mean, cfg.eta)
-        else:
-            alpha = np.ones((n, s))
-        for i, shard in enumerate(shards):
-            start = client_start(i)
-            ctx = C.RegContext(p_g, cfg.lam if is_align else 0.0, alpha[i], cfg.top_k)
-            try:
-                res = C.local_round(
-                    mcfg,
-                    start,
-                    shard,
-                    ctx,
-                    epochs=cfg.local_epochs,
-                    lr=cfg.lr,
-                    rng=child_rng(cfg.seed, "client", i, "round", t),
-                    batch_size=cfg.batch_size,
-                    prox_mu=cfg.prox_mu if cfg.method == "fedprox" else 0.0,
-                    prox_ref=global_params if cfg.method == "fedprox" else None,
-                )
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
-            deltas.flat[i] = res.param_delta.flat
-            p_bar[i], margin[i], local_loss[i] = res.p_bar, res.margin, res.mean_local_loss
-            mu[:, i], mu_empty[:, i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
-            local_gates[i] = start.gate + res.param_delta.gate
-
-        global_params, p_g, report = S.aggregate_round(
-            global_params, deltas, p_bar, margin, mu, mu_empty, size_w, t,
-            beta=cfg.beta,
-            fixed_tau=cfg.fixed_tau,
-            consistency=is_align and not cfg.ablated("no_consistency_weighting"),
-            semantic_weights=is_align and not cfg.ablated("uniform_gamma"),
-            direction=not cfg.ablated("no_direction_consensus"),
-        )
-
-        mean_p = p_bar.mean(axis=0)
-        post_p_bar, local_accs = shard_routing(mcfg, client_start, shards)
-        records.append(
-            RoundRecord(
-                round_index=t,
-                global_accuracy=evaluate(mcfg, global_params, test_x, test_y),
-                local_accuracy_mean=float(np.mean(local_accs)),
-                local_accuracy_std=float(np.std(local_accs)),
-                mean_local_loss=float(np.mean(local_loss)),
-                mean_reg_loss=float(np.mean(reg_loss)),
-                routing_disagreement_pre=float(total_variation(p_bar, p_g).mean()),
-                routing_disagreement_post=float(total_variation(post_p_bar, p_g).mean()),
-                routing_spread_pre=float(total_variation(p_bar, mean_p).mean()),
-                routing_spread_post=float(
-                    total_variation(post_p_bar, post_p_bar.mean(axis=0)).mean()
-                ),
-                routing_disruption=float(total_variation(post_p_bar, p_bar).mean()),
-                expert_semantic_divergence=float(np.mean(1.0 - report.mean_sim)),
-            )
-        )
+        state, record, report = run_round(cfg, data, state, t)
+        records.append(record)
         reports.append(report)
-
-        prev_mean = mean_p
-        prev_p_bar = p_bar
-
-    result = ExperimentResult(cfg, records, global_params, reports, initial_disagreement)
+    result = ExperimentResult(cfg, records, state.global_params, reports, initial_disagreement)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result

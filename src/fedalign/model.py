@@ -306,18 +306,14 @@ def masked_kl(fp, topk_idx, ref, p_g, alpha):
 
 
 def backward(
-    trace: ForwardTrace,
-    params: ModelParams,
-    config: MoEConfig,
-    lam: float = 0.0,
-    reg_ctx=None,
+    trace: ForwardTrace, params: ModelParams, *, lam: float = 0.0, reg_ctx=None
 ) -> ModelParams:
     """Exact gradients of L_total = L_local + lam * L_reg for one batch.
 
     `reg_ctx` must expose `p_g`, `alpha` and the reference set `ref`; it is
     required when lam > 0 and only consulted then. The KL mask is each row's
-    dispatch set `trace.topk_idx` OR `ref`. `config` is not read. Gradients
-    of experts outside every row's top-k are zero.
+    dispatch set `trace.topk_idx` OR `ref`. Gradients of experts outside
+    every row's top-k are zero.
     Returns the gradients as a ModelParams laid out like `params`, each
     block written into its view of one buffer.
     """

@@ -453,7 +453,7 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
             trace, loss = M.forward(config, params, shard.features[idx], shard.labels[idx])
             if loss is None or not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss, aborting round")
-            grads = M.backward(trace, params, config, lam=ctx.lam, reg_ctx=ctx)
+            grads = M.backward(trace, params, lam=ctx.lam, reg_ctx=ctx)
             if prox_mu > 0.0 and prox_ref is not None:
                 prox = prox_term(params, prox_ref, prox_mu)[1]
                 grads = M.ModelParams(*(getattr(grads, b) + getattr(prox, b) for b in blocks))

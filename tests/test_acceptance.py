@@ -79,7 +79,7 @@ def test_criterion_1_gradient_fidelity(report):
             alpha = rng.uniform(0.2, 1.0, size=config.num_experts)
             ctx = RegCtx(p_g, alpha, config.top_k)
             trace, _ = M.forward(config, params, x, labels)
-            grads = M.backward(trace, params, config, lam=lam, reg_ctx=ctx)
+            grads = M.backward(trace, params, lam=lam, reg_ctx=ctx)
 
             def loss_fn(w, block):
                 probe = params.copy()

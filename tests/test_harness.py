@@ -25,7 +25,7 @@ from fedalign import client as C
 from fedalign import model as M
 from fedalign import harness
 from fedalign.cli import main as cli_main
-from fedalign.data import dirichlet_partition, generate, make_default_task
+from fedalign.data import generate, make_default_task
 from fedalign.harness import (
     ABLATION_FLAGS,
     ConfigError,
@@ -203,23 +203,12 @@ class TestRoundLoop:
     def test_single_client_single_round(self):
         cfg = tiny_config(num_clients=1, rounds=1, lam=0.0, method="fedalign")
         result = run_experiment(cfg)
-        mcfg = cfg.model_config()
-        task = make_default_task(
-            cfg.num_classes, cfg.input_dim, cfg.samples_per_class, cfg.noise_std,
-            child_rng(cfg.seed, "task"), mean_scale=cfg.mean_scale,
-        )
-        x, y = generate(task, child_rng(cfg.seed, "data"))
-        shards = dirichlet_partition(x, y, 1, cfg.dirichlet_alpha,
-                                     child_rng(cfg.seed, "partition"))
-        init = M.init_params(mcfg, child_rng(cfg.seed, "init"))
-        s = cfg.num_experts
-        ctx = C.RegContext(np.full(s, 1 / s), 0.0,
-                           C.compute_alpha(np.full(s, 1 / s) * np.full(s, 1 / s), cfg.eta),
-                           cfg.top_k)
+        data, state = harness.setup(cfg)
+        init = state.global_params
+        ctx = C.RegContext(state.p_g, 0.0, np.ones(cfg.num_experts), cfg.top_k)
         res = C.local_round(
-            mcfg, init, shards[0], ctx, epochs=cfg.local_epochs, lr=cfg.lr,
-            rng=child_rng(cfg.seed, "client", 0, "round", 1),
-            batch_size=cfg.batch_size,
+            data.model_config, init, data.shards[0], ctx, epochs=cfg.local_epochs, lr=cfg.lr,
+            rng=child_rng(cfg.seed, "client", 0, "round", 1), batch_size=cfg.batch_size,
         )
         # Lone client: every expert update and every shared block equals the
         # client's own delta (self-consensus), so final = init + delta.
@@ -254,6 +243,73 @@ class TestRoundLoop:
             (tmp_path / "b/metrics.jsonl").read_bytes()
         assert (tmp_path / "a/final.ckpt").read_bytes() == \
             (tmp_path / "b/final.ckpt").read_bytes()
+
+
+def two_rounds(ablations):
+    """`setup`, then rounds 1 and 2 through `run_round` on a 4-client config:
+    the config, the data and each round's (t, start state, next state,
+    record, report)."""
+    cfg = tiny_config(num_clients=4, rounds=2, ablations=ablations)
+    data, state = harness.setup(cfg)
+    rounds = []
+    for t in (1, 2):
+        nxt, record, report = harness.run_round(cfg, data, state, t)
+        rounds.append((t, state, nxt, record, report))
+        state = nxt
+    return cfg, data, rounds
+
+
+@pytest.mark.parametrize("ablations", [(), ("no_gating_broadcast",)], ids=["broadcast", "own-gate"])
+class TestRunRound:
+    """The round's wiring: each record field that joins two components is
+    recomputed from what `run_round` returns and must agree bit for bit."""
+
+    def test_disagreement_post_is_against_the_new_p_g(self, ablations):
+        cfg, data, rounds = two_rounds(ablations)
+        for _, _, nxt, record, _ in rounds:
+            post_p_bar, _ = harness.shard_routing(cfg, data, nxt)
+            tv = harness.total_variation(post_p_bar, nxt.p_g)
+            assert record.routing_disagreement_post == float(tv.mean())
+
+    def test_disagreement_pre_is_the_uploads_against_the_new_p_g(self, ablations):
+        _, _, rounds = two_rounds(ablations)
+        for _, _, nxt, record, _ in rounds:
+            tv = harness.total_variation(nxt.prev_p_bar, nxt.p_g)
+            assert record.routing_disagreement_pre == float(tv.mean())
+
+    def test_semantic_divergence_averages_mean_sim(self, ablations):
+        _, _, rounds = two_rounds(ablations)
+        for _, _, _, record, report in rounds:
+            assert record.expert_semantic_divergence == float(np.mean(1.0 - report.mean_sim))
+
+    def test_each_client_keeps_its_trained_gate(self, ablations):
+        # The returned gates are read only under no_gating_broadcast, where
+        # each client starts the next round from its own.
+        cfg, data, rounds = two_rounds(ablations)
+        for t, state, nxt, _, _ in rounds:
+            alpha = C.compute_alpha(state.prev_p_bar * state.prev_p_bar.mean(axis=0), cfg.eta)
+            for i, shard in enumerate(data.shards):
+                start = harness.client_start(cfg, state, i)
+                ctx = C.RegContext(state.p_g, cfg.lam, alpha[i], cfg.top_k)
+                res = C.local_round(
+                    data.model_config, start, shard, ctx, epochs=cfg.local_epochs, lr=cfg.lr,
+                    rng=child_rng(cfg.seed, "client", i, "round", t), batch_size=cfg.batch_size,
+                )
+                assert np.any(res.param_delta.gate != 0.0)
+                assert np.array_equal(nxt.gates[i], start.gate + res.param_delta.gate)
+                if cfg.ablated("no_gating_broadcast"):
+                    assert np.array_equal(harness.client_start(cfg, nxt, i).gate, nxt.gates[i])
+
+    def test_round_is_a_function_of_its_inputs(self, ablations):
+        cfg, data, rounds = two_rounds(ablations)
+        _, state, nxt, record, report = rounds[-1]
+        inputs = (state.global_params.flat, state.gates, state.p_g, state.prev_p_bar,
+                  data.size_weights)
+        before = [a.copy() for a in inputs]
+        again, record2, report2 = harness.run_round(cfg, data, state, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(before, inputs))
+        assert record2 == record and report2.to_json_record() == report.to_json_record()
+        assert np.array_equal(again.global_params.flat, nxt.global_params.flat)
 
 
 class TestEmitMetrics:

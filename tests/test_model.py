@@ -223,7 +223,7 @@ def test_gradients_match_finite_differences(lam):
     for seed in range(4):
         params, x, labels = small_batch(config, seed=seed)
         trace, _ = forward(config, params, x, labels)
-        grads = backward(trace, params, config, lam=lam, reg_ctx=ctx)
+        grads = backward(trace, params, lam=lam, reg_ctx=ctx)
         for block in ModelParams.BLOCKS:
             def f(w, block=block):
                 probe = params.copy()
@@ -238,8 +238,8 @@ def test_lambda_zero_matches_pure_cross_entropy():
     config = small_config()
     params, x, labels = small_batch(config)
     trace, _ = forward(config, params, x, labels)
-    g0 = backward(trace, params, config, lam=0.0)
-    g1 = backward(trace, params, config, lam=0.0, reg_ctx=None)
+    g0 = backward(trace, params, lam=0.0)
+    g1 = backward(trace, params, lam=0.0, reg_ctx=None)
     for block in ModelParams.BLOCKS:
         assert np.array_equal(getattr(g0, block), getattr(g1, block))
 
@@ -248,7 +248,7 @@ def test_non_activated_expert_gradient_zero():
     config = small_config(num_experts=3, top_k=1)
     params, x, labels = small_batch(config, batch=6)
     trace, _ = forward(config, params, x, labels)
-    grads = backward(trace, params, config)
+    grads = backward(trace, params)
     activated = set(trace.topk_idx.ravel().tolist())
     for e in range(config.num_experts):
         if e not in activated:
@@ -270,7 +270,7 @@ class TestTopOneGate:
         params, x, labels = small_batch(config, seed=seed, batch=b)
         trace, _ = forward(config, params, x, labels)
         assert np.all(trace.topk_probs.max(axis=1) == 1.0)
-        grads = backward(trace, params, config, lam=0.0)
+        grads = backward(trace, params, lam=0.0)
         assert np.max(np.abs(grads.gate)) == 0.0
         assert np.max(np.abs(grads.embed)) > 0.0
 
@@ -279,7 +279,7 @@ class TestTopOneGate:
         config = small_config(num_experts=4, top_k=2)
         params, x, labels = small_batch(config, seed=seed, batch=8)
         trace, _ = forward(config, params, x, labels)
-        grads = backward(trace, params, config, lam=0.0)
+        grads = backward(trace, params, lam=0.0)
         assert np.max(np.abs(grads.gate)) > 0.0
 
 
@@ -338,7 +338,7 @@ class TestDenseDispatchOracle:
         lam = 0.3
 
         trace, loss = forward(config, params, x, labels)
-        grads = backward(trace, params, config, lam, RegCtx(p_g, alpha, k))
+        grads = backward(trace, params, lam=lam, reg_ctx=RegCtx(p_g, alpha, k))
         ref = oracles.sparse_forward(params, x, k, labels)
         ref_grads = oracles.sparse_backward(ref, params, labels, k, lam, p_g, alpha)
 
@@ -357,7 +357,7 @@ def test_backward_requires_labels():
     params, x, _ = small_batch(config)
     trace, _ = forward(config, params, x)
     with pytest.raises(ValueError):
-        backward(trace, params, config)
+        backward(trace, params)
 
 
 def test_backward_with_lam_requires_reg_ctx():
@@ -365,7 +365,7 @@ def test_backward_with_lam_requires_reg_ctx():
     params, x, labels = small_batch(config)
     trace, _ = forward(config, params, x, labels)
     with pytest.raises(ValueError, match="reg_ctx"):
-        backward(trace, params, config, 0.1)
+        backward(trace, params, lam=0.1)
 
 
 class TestMaskedKl:

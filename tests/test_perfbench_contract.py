@@ -1,7 +1,7 @@
 """The benchmark's traced run holds on the package.
 
 `perfbench/tracing.py` replaces package functions by name and tells
-`backward`'s two spans apart by its fourth positional argument, `lam`; its
+`backward`'s two spans apart by its keyword argument `lam`; its
 per-layer numbers assume one traced `forward` and `backward` per SGD step.
 Its `AggregationCheck` in `perfbench/checks.py` recomputes each round's
 aggregate from the start parameters and updates that `local_round` sees.
@@ -120,12 +120,13 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields that nothing under src/ reads: {unread}"
 
 
-def test_backward_lam_is_fourth_positional():
+def test_backward_lam_is_keyword_only():
+    # The tracer reads `lam` from the keywords and treats a missing one as 0,
+    # so a positional `lam` would be misnamed; keyword-only makes it an error.
     from fedalign.model import backward
 
-    params = list(inspect.signature(backward).parameters.values())
-    assert params[3].name == "lam"
-    assert params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    lam = inspect.signature(backward).parameters["lam"]
+    assert lam.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 @pytest.mark.parametrize("method", ["fedalign", "fedavg", "fedprox"])
