@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import zlib
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,9 +132,7 @@ class ExperimentConfig:
         return flag in self.ablations
 
 
-MODEL_FIELDS = (
-    "input_dim", "hidden_dim", "num_experts", "top_k", "num_classes", "expert_hidden"
-)
+MODEL_FIELDS = tuple(f.name for f in fields(M.MoEConfig))
 # Field -> (type, lower bound or None, bound is strict). The bounds are only
 # checked once the type is right; `float` means a finite real number, and
 # every `int` field must also be below INT_LIMIT: `child_rng` keeps the seed
@@ -374,7 +372,7 @@ def write_outputs(result: ExperimentResult, out_dir):
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in result.records:
             fh.write(rec.to_json() + "\n")
-    fields = [
+    cols = [
         "round_index",
         "global_accuracy",
         "local_accuracy_mean",
@@ -387,10 +385,10 @@ def write_outputs(result: ExperimentResult, out_dir):
     ]
     with open(out / "summary.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
+        writer.writerow(cols)
         for rec in result.records:
             row = asdict(rec)
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
+            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in cols])
     with open(out / "aggregation.jsonl", "w", newline="\n") as fh:
         for rep in result.reports:
             fh.write(rep.to_json_record() + "\n")

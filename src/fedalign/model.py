@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -34,20 +34,20 @@ class MoEConfig:
     expert_hidden: int
 
     def __post_init__(self):
-        dims = (
-            self.input_dim,
-            self.hidden_dim,
-            self.num_experts,
-            self.top_k,
-            self.num_classes,
-            self.expert_hidden,
-        )
-        if any(d < 1 for d in dims):
+        if any(d < 1 for d in astuple(self)):
             raise ValueError(f"all config dims must be >= 1, got {self}")
         if self.top_k > self.num_experts:
             raise ValueError(
                 f"top_k={self.top_k} exceeds num_experts={self.num_experts}"
             )
+
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Each parameter block's shape, in ModelParams.BLOCKS order: the
+        layout of a model's buffer and of a checkpoint's body."""
+        d, h, s = self.input_dim, self.hidden_dim, self.num_experts
+        eh, c = self.expert_hidden, self.num_classes
+        return ((d, h), (h, s), (s, h, eh), (s, eh), (s, eh, h), (s, h), (h, c))
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,18 @@ class ModelParams:
     order, which is also the checkpoint's byte order; an update, a copy or
     a finiteness check is one array operation on it. Frozen: a block is
     written in place (`params.gate[...] = w`), never rebound off the buffer.
-    `shapes` holds each block's shape without the buffer's leading axes:
-    `from_flat` can lay the blocks over an (N, P) buffer, where row i is one
-    model and each block leads with N.
+    `shapes` holds each block's shape (`MoEConfig.shapes`) without the
+    buffer's leading axes: `from_flat` can lay the blocks over an (N, P)
+    buffer, where row i is one model and each block leads with N.
     """
 
-    embed: np.ndarray  # (input_dim, hidden_dim)
-    gate: np.ndarray  # (hidden_dim, num_experts)
-    expert_w1: np.ndarray  # (S, hidden_dim, expert_hidden)
-    expert_b1: np.ndarray  # (S, expert_hidden)
-    expert_w2: np.ndarray  # (S, expert_hidden, hidden_dim)
-    expert_b2: np.ndarray  # (S, hidden_dim)
-    head: np.ndarray  # (hidden_dim, num_classes)
+    embed: np.ndarray
+    gate: np.ndarray
+    expert_w1: np.ndarray
+    expert_b1: np.ndarray
+    expert_w2: np.ndarray
+    expert_b2: np.ndarray
+    head: np.ndarray
 
     BLOCKS = ("embed", "gate", "expert_w1", "expert_b1", "expert_w2", "expert_b2", "head")
 
@@ -122,18 +122,13 @@ def expert_rows(params: ModelParams, experts=slice(None)) -> np.ndarray:
 
 
 def init_params(config: MoEConfig, rng: np.random.Generator) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
-    d, h, s = config.input_dim, config.hidden_dim, config.num_experts
-    eh, c = config.expert_hidden, config.num_classes
-    return ModelParams(
-        embed=rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)),
-        gate=rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, s)),
-        expert_w1=rng.normal(0.0, 1.0 / np.sqrt(h), size=(s, h, eh)),
-        expert_b1=np.zeros((s, eh)),
-        expert_w2=rng.normal(0.0, 1.0 / np.sqrt(eh), size=(s, eh, h)),
-        expert_b2=np.zeros((s, h)),
-        head=rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, c)),
-    )
+    """Gaussian init scaled by 1/sqrt(fan_in), a weight's second-to-last
+    axis, drawn in BLOCKS order; the biases start at zero and draw nothing."""
+    return ModelParams(*(
+        np.zeros(shape) if name in ("expert_b1", "expert_b2")
+        else rng.normal(0.0, 1.0 / np.sqrt(shape[-2]), size=shape)
+        for name, shape in zip(ModelParams.BLOCKS, config.shapes)
+    ))
 
 
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
@@ -363,19 +358,11 @@ def backward(
 
 
 def save_checkpoint(path, config: MoEConfig, params: ModelParams):
-    """Binary checkpoint: magic, version, six uint32 config fields (LE),
-    then all parameter blocks as float64 LE in ModelParams.BLOCKS order.
+    """Binary checkpoint: magic, version, MoEConfig's six fields in
+    declaration order (uint32 LE), then the body: all parameter blocks as
+    float64 LE, laid out as `config.shapes`.
     """
-    header = CKPT_MAGIC + struct.pack(
-        "<7I",
-        CKPT_VERSION,
-        config.input_dim,
-        config.hidden_dim,
-        config.num_experts,
-        config.top_k,
-        config.num_classes,
-        config.expert_hidden,
-    )
+    header = CKPT_MAGIC + struct.pack("<7I", CKPT_VERSION, *astuple(config))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
@@ -391,22 +378,12 @@ def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
             raise ValueError(f"truncated checkpoint header: {len(header)} of 32 bytes")
         if header[:4] != CKPT_MAGIC:
             raise ValueError(f"bad checkpoint magic {header[:4]!r}")
-        version, d, h, s, k, c, eh = struct.unpack("<7I", header[4:])
+        version, *dims = struct.unpack("<7I", header[4:])
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        config = MoEConfig(d, h, s, k, c, eh)
-        shapes = {
-            "embed": (d, h),
-            "gate": (h, s),
-            "expert_w1": (s, h, eh),
-            "expert_b1": (s, eh),
-            "expert_w2": (s, eh, h),
-            "expert_b2": (s, h),
-            "head": (h, c),
-        }
+        config = MoEConfig(*dims)
         # Python ints: a product of uint32 dims can wrap in int64.
-        sizes = [math.prod(shapes[name]) for name in ModelParams.BLOCKS]
-        want = 32 + 8 * sum(sizes)
+        want = 32 + 8 * sum(math.prod(shape) for shape in config.shapes)
         have = os.fstat(fh.fileno()).st_size
         if have < want:
             raise ValueError(f"truncated checkpoint: {have} bytes, header needs {want}")
@@ -415,4 +392,4 @@ def load_checkpoint(path) -> tuple[MoEConfig, ModelParams]:
                 f"{have - want} trailing bytes in checkpoint: {have} bytes, header needs {want}"
             )
         body = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return config, ModelParams.from_flat(body, [shapes[name] for name in ModelParams.BLOCKS])
+    return config, ModelParams.from_flat(body, config.shapes)

@@ -61,9 +61,11 @@ def consistency_weights(p_bar: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Per-expert client weights omega (N x S) from the clients' routing
     masses p_bar and top-1 margins, both (N, S).
 
-    s_i(e) = o_i(e) * m_i(e) with o_i(e) the product of the client's routing
-    mass and the cross-client mean mass. Columns with total score below
-    NORM_FLOOR fall back to uniform 1/N (logged).
+    s_i(e) = o_i(e) * m_i(e), o_i(e) being the client's routing mass times
+    the cross-client mean mass. Omega is s normalized down each expert's
+    column, where the mean mass is constant and cancels; it only scales the
+    column sum, and a column summing below NORM_FLOOR falls back to uniform
+    1/N (logged).
     """
     omega, low = _normalize(p_bar * p_bar.mean(axis=0) * margin, axis=0)  # o * m
     if low.any():

@@ -325,6 +325,25 @@ def compute_mu_loop(scores, hidden):
     return mu, empty
 
 
+def init_params_explicit(config, rng):
+    """Reference for `model.init_params`: each of the seven blocks written
+    out with its own shape and fan-in, in BLOCKS order. Returns the blocks
+    as a tuple of arrays."""
+    import numpy as np
+
+    d, h, s = config.input_dim, config.hidden_dim, config.num_experts
+    eh, c = config.expert_hidden, config.num_classes
+    return (
+        rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h)),  # embed
+        rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, s)),  # gate
+        rng.normal(0.0, 1.0 / np.sqrt(h), size=(s, h, eh)),  # expert_w1
+        np.zeros((s, eh)),  # expert_b1
+        rng.normal(0.0, 1.0 / np.sqrt(eh), size=(s, eh, h)),  # expert_w2
+        np.zeros((s, h)),  # expert_b2
+        rng.normal(0.0, 1.0 / np.sqrt(h), size=(h, c)),  # head
+    )
+
+
 def sparse_forward(params, x, k, labels=None):
     """Reference for `model.forward`: the per-expert sparse dispatch it
     replaced. Each expert runs only on the rows whose top-k (ties to the

@@ -57,6 +57,17 @@ def median_acc(runs, method, alpha=0.1):
     ]))
 
 
+def steady_acc(runs, method, alpha=0.1):
+    """Median over seeds of each run's last-10-round mean accuracy. Printed
+    next to the gates as a readout of the round-to-round swing; no gate
+    reads it."""
+    return float(np.median([
+        np.mean([r.global_accuracy for r in
+                 runs.get(method=method, seed=s, dirichlet_alpha=alpha).records[-10:]])
+        for s in SEEDS
+    ]))
+
+
 class RegCtx:
     def __init__(self, p_g, alpha, k):
         self.p_g = p_g
@@ -252,17 +263,24 @@ def test_criterion_6_directional_non_iid(runs, report):
     fv = median_acc(runs, "fedavg")
     gap = fa - fv
     ok = fa >= fp >= fv and gap >= 0.02 and runs.warm_seconds < 300.0
+    steady = ", ".join(f"{m}={steady_acc(runs, m):.4f}" for m in ("fedalign", "fedprox", "fedavg"))
     report(6, "directional non-IID ordering", ok,
            f"median acc fedalign={fa:.4f} >= fedprox={fp:.4f} >= fedavg={fv:.4f}, "
-           f"gap={gap * 100:.1f} pts, runs warmed in {runs.warm_seconds:.0f}s")
+           f"gap={gap * 100:.1f} pts, runs warmed in {runs.warm_seconds:.0f}s "
+           f"(last-10-round mean, not gated: {steady})")
 
 
 def test_criterion_7_heterogeneity_robustness(runs, report):
     drop_fa = median_acc(runs, "fedalign", alpha=1.0) - median_acc(runs, "fedalign")
     drop_fv = median_acc(runs, "fedavg", alpha=1.0) - median_acc(runs, "fedavg")
     ok = drop_fa < drop_fv
+    steady = ", ".join(
+        f"{m} {steady_acc(runs, m, alpha=1.0):.4f}->{steady_acc(runs, m):.4f}"
+        for m in ("fedalign", "fedavg")
+    )
     report(7, "heterogeneity robustness", ok,
-           f"accuracy drop 1.0->0.1: fedalign {drop_fa:.4f} < fedavg {drop_fv:.4f}")
+           f"accuracy drop 1.0->0.1: fedalign {drop_fa:.4f} < fedavg {drop_fv:.4f} "
+           f"(last-10-round mean at 1.0->0.1, not gated: {steady})")
 
 
 def test_criterion_8_aggregation_degrades_routing(runs, report):

@@ -1,9 +1,10 @@
 """The comparison runs of `tools/compare_runs.py`: distinct valid configs
 that cover every method, every ablation flag, the fixed threshold and the
-benchmark's workloads."""
+benchmark's workloads; and the last-10-round accuracy it prints."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 from fedalign.harness import ABLATION_FLAGS, METHODS, ExperimentConfig
@@ -40,3 +41,13 @@ def test_workloads_are_the_benchmark_workloads():
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WORKLOADS"
     )
     assert load_tool().WORKLOADS == workloads
+
+
+def test_steady_accuracy_is_the_last_ten_rounds_mean(tmp_path):
+    tool = load_tool()
+    path = tmp_path / "metrics.jsonl"
+    for rounds, want in ((12, 0.65), (5, 0.2)):
+        lines = [{"schema": "fedalign-metrics/1"}]
+        lines += [{"global_accuracy": 0.1 * t} for t in range(rounds)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert abs(tool.steady_accuracy(path) - want) < 1e-12

@@ -1,6 +1,6 @@
 """Harness tests: config validation, seeded determinism, metrics emission,
-the CLI, the directional round-loop properties and whole-run expert
-relabeling."""
+the CLI, the directional round-loop properties and whole-run expert and
+client relabeling."""
 
 import ast
 import contextlib
@@ -687,4 +687,64 @@ class TestExpertRelabeling:
     @TIE_RULE
     def test_regularized_run_is_equivariant(self, relabeled_runs):
         gaps = relabel_gaps(*relabeled_runs(method="fedalign"))
+        assert max(gaps.values()) <= 1e-12, gaps
+
+
+# Client j of a relabeled run is client CLIENTS[j] of the original.
+CLIENTS = np.array([2, 0, 3, 1])
+CLIENT_VARIANTS = {
+    "fedavg": dict(method="fedavg"),
+    "fedprox": dict(method="fedprox"),
+    "fedalign-lam0": dict(method="fedalign", lam=0.0),
+    "fedalign": dict(method="fedalign"),
+    **{flag: dict(method="fedalign", ablations=(flag,)) for flag in ABLATION_FLAGS},
+}
+
+
+def client_relabel_gaps(cfg):
+    """Largest gap of each record field, each relabeled report column, gate
+    and routing row, and of the global model, over `cfg.rounds` rounds of
+    `run_round` from `setup`'s state and from that state with its clients
+    relabeled."""
+    data, state = harness.setup(cfg)
+    assert max(shard.size for shard in data.shards) <= cfg.batch_size
+    moved_data = dataclasses.replace(
+        data, shards=[data.shards[i] for i in CLIENTS], size_weights=data.size_weights[CLIENTS]
+    )
+    moved = dataclasses.replace(
+        state, gates=state.gates[CLIENTS], prev_p_bar=state.prev_p_bar[CLIENTS]
+    )
+    gaps = {}
+
+    def gap(name, want, got):
+        worst = float(np.max(np.abs(np.asarray(want) - np.asarray(got))))
+        gaps[name] = max(gaps.get(name, 0.0), worst)
+
+    for t in range(1, cfg.rounds + 1):
+        state, record, report = harness.run_round(cfg, data, state, t)
+        moved, moved_record, moved_report = harness.run_round(cfg, moved_data, moved, t)
+        for f in dataclasses.fields(harness.RoundRecord):
+            gap(f.name, getattr(record, f.name), getattr(moved_record, f.name))
+        gap("omega", report.omega[CLIENTS], moved_report.omega)
+        gap("gamma_row_sums", report.gamma_row_sums[:, CLIENTS], moved_report.gamma_row_sums)
+        for name in ("tau", "mean_sim", "dispersion"):
+            gap(name, getattr(report, name), getattr(moved_report, name))
+        gap("gates", state.gates[CLIENTS], moved.gates)
+        gap("prev_p_bar", state.prev_p_bar[CLIENTS], moved.prev_p_bar)
+        gap("p_g", state.p_g, moved.p_g)
+        gap("global_params", state.global_params.flat, moved.global_params.flat)
+    return gaps
+
+
+class TestClientRelabeling:
+    """A client's index carries no meaning: relabeling the clients of a run
+    (shards, size weights, gates and last round's routing) relabels every
+    output. Each epoch is one batch, so a client's own stream only orders
+    that batch's rows."""
+
+    @pytest.mark.parametrize("kw", CLIENT_VARIANTS.values(), ids=CLIENT_VARIANTS.keys())
+    def test_run_is_equivariant(self, kw):
+        # 90 is TINY's whole training set, so every shard is one batch.
+        cfg = tiny_config(num_clients=4, rounds=3, local_epochs=2, batch_size=90, **kw)
+        gaps = client_relabel_gaps(cfg)
         assert max(gaps.values()) <= 1e-12, gaps

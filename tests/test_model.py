@@ -1,9 +1,10 @@
-"""Model tests: the flat parameter buffer and its finiteness check, top-k
-selection in dispatch order, forward degenerate cases, exact gradients
-against finite differences, the untrained gate at top-1, dense-mixture
-equivalence at k=S, the dense expert dispatch against the per-expert sparse
-oracle, the batched masked KL against the per-sample oracle, and the
-byte-exact checkpoint format."""
+"""Model tests: the flat parameter buffer and its finiteness check, the
+init against the explicit per-block oracle, top-k selection in dispatch
+order, forward degenerate cases, exact gradients against finite
+differences, the untrained gate at top-1, dense-mixture equivalence at k=S,
+the dense expert dispatch against the per-expert sparse oracle, the batched
+masked KL against the per-sample oracle, and the byte-exact checkpoint
+format."""
 
 import pickle
 import struct
@@ -105,6 +106,25 @@ class TestConfig:
             small_config(hidden_dim=0)
         with pytest.raises(ValueError):
             small_config(top_k=4, num_experts=3)
+
+
+class TestInitOracle:
+    """`init_params` draws over `MoEConfig.shapes`; the explicit per-block
+    init it replaced is the reference, byte for byte."""
+
+    @pytest.mark.parametrize("config", [
+        MoEConfig(16, 32, 4, 1, 8, 32),  # the harness default
+        small_config(num_experts=1, top_k=1),
+        small_config(top_k=3),  # k = S
+        small_config(expert_hidden=1),
+        small_config(input_dim=1),
+    ], ids=["default", "s1", "k-eq-s", "eh1", "d1"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_explicit_init(self, config, seed):
+        params = init_params(config, np.random.default_rng(seed))
+        want = oracles.init_params_explicit(config, np.random.default_rng(seed))
+        assert params.shapes == config.shapes == tuple(w.shape for w in want)
+        assert params.flat.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
 
 
 class TestTopKSelect:
@@ -502,12 +522,25 @@ class TestCheckpoint:
         assert (tmp_path / "again.ckpt").read_bytes() == raw
 
     def test_header_layout(self, tmp_path):
-        config = small_config()
+        # Six pairwise distinct dims, so a reordered header field shows.
+        config = MoEConfig(
+            input_dim=3, hidden_dim=4, num_experts=5, top_k=2, num_classes=6, expert_hidden=7
+        )
         params, _, _ = small_batch(config)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, config, params)
         raw = path.read_bytes()
         assert raw[:4] == b"FMOE"
+        assert raw[4:32] == struct.pack(
+            "<7I",
+            1,
+            config.input_dim,
+            config.hidden_dim,
+            config.num_experts,
+            config.top_k,
+            config.num_classes,
+            config.expert_hidden,
+        )
         n_floats = sum(getattr(params, b).size for b in ModelParams.BLOCKS)
         assert len(raw) == 4 + 28 + 8 * n_floats
 

@@ -8,7 +8,10 @@ ablation flag, `fixed_tau` 0.5, and S = 8 experts with k = 3. Each run is
 `python -m fedalign.cli run` in its own subprocess with one OpenBLAS thread,
 importing the package from TREE/src. Each output file is compared byte for
 byte; for a file that differs, the largest absolute move of each field is
-printed. Exit 0 when every file of every run is byte-identical, 1 otherwise.
+printed. Then, for each workload or variant, the median over its seeds of
+each run's last-10-round mean accuracy is printed for both trees, so that a
+final-accuracy move can be read against the round-to-round swing. Exit 0
+when every file of every run is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -97,6 +100,13 @@ def fields(path: Path) -> dict[str, np.ndarray]:
     return {k: np.hstack([np.ravel(line[k]) for line in lines if k in line]) for k in keys}
 
 
+def steady_accuracy(metrics: Path) -> float:
+    """Mean global accuracy over a run's last 10 rounds (all of a shorter
+    run's rounds), read from its `metrics.jsonl`."""
+    records = [json.loads(line) for line in metrics.read_text().splitlines()[1:]]
+    return float(np.mean([r["global_accuracy"] for r in records[-10:]]))
+
+
 def moves(a: Path, b: Path) -> dict[str, str]:
     """Largest absolute move of each field between two versions of a file."""
     fa, fb = fields(a), fields(b)
@@ -118,18 +128,25 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        differ = 0
+        differ, steady = 0, {}
         for name, cfg in comparison_runs():
-            run(args.parent, cfg, work / "parent" / name)
-            run(args.change, cfg, work / "change" / name)
+            old, new = work / "parent" / name, work / "change" / name
+            run(args.parent, cfg, old)
+            run(args.change, cfg, new)
+            pair = [steady_accuracy(out / "metrics.jsonl") for out in (old, new)]
+            steady.setdefault(name.rsplit("-seed", 1)[0], []).append(pair)
             for f in OUTPUT_FILES:
-                a, b = work / "parent" / name / f, work / "change" / name / f
+                a, b = old / f, new / f
                 same = a.read_bytes() == b.read_bytes()
                 differ += not same
                 print(f"cmp {name} {f}: {'identical' if same else 'DIFFERS'}")
                 if not same:
                     for field, move in moves(a, b).items():
                         print(f"    {field}: {move}")
+    print("last-10-round mean accuracy, median over seeds: parent -> change")
+    for group, values in steady.items():
+        parent, change = np.median(values, axis=0)
+        print(f"    {group}: {parent:.4f} -> {change:.4f} ({change - parent:+.4f})")
     total = len(comparison_runs()) * len(OUTPUT_FILES)
     print(f"{total - differ}/{total} files byte-identical")
     return 1 if differ else 0

@@ -65,6 +65,16 @@ MUTANTS = [
         "alpha-from-post-p_bar", "harness.py",
         "return nxt, record, report", "return replace(nxt, prev_p_bar=post_p_bar), record, report",
     ),
+    Mutant(
+        "shard-routing-client-0", "harness.py",
+        "client_start(cfg, state, i), shard.features",
+        "client_start(cfg, state, 0), shard.features",
+    ),
+    # The model's layout: each weight's fan-in is its second-to-last axis.
+    Mutant(
+        "init-fan-in-last-axis", "model.py",
+        "1.0 / np.sqrt(shape[-2])", "1.0 / np.sqrt(shape[-1])",
+    ),
     # Killed before: kept as a regression list.
     Mutant(
         "alpha-eta-sign", "client.py",
