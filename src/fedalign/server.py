@@ -61,13 +61,11 @@ def consistency_weights(p_bar: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Per-expert client weights omega (N x S) from the clients' routing
     masses p_bar and top-1 margins, both (N, S).
 
-    s_i(e) = o_i(e) * m_i(e), o_i(e) being the client's routing mass times
-    the cross-client mean mass. Omega is s normalized down each expert's
-    column, where the mean mass is constant and cancels; it only scales the
-    column sum, and a column summing below NORM_FLOOR falls back to uniform
-    1/N (logged).
+    Client i scores p_bar_i(e) * m_i(e) for expert e, and omega is the score
+    normalized down each expert's column. A column whose scores sum below
+    NORM_FLOOR falls back to uniform 1/N (logged).
     """
-    omega, low = _normalize(p_bar * p_bar.mean(axis=0) * margin, axis=0)  # o * m
+    omega, low = _normalize(p_bar * margin, axis=0)
     if low.any():
         log.info("uniform omega fallback for experts %s", np.nonzero(low)[0].tolist())
         omega[:, low] = 1.0 / p_bar.shape[0]
@@ -175,18 +173,14 @@ def aggregate_round(
 ) -> tuple[M.ModelParams, np.ndarray, AggregationReport]:
     """The server's round from the stacked uploads (p_bar and margin (N, S),
     mu (S, N, H), mu_empty (S, N), deltas): the new global model, p_g (S,)
-    and the report. Without `consistency` omega is uniform and p_g the
-    renormalized mean p_bar; `fixed_tau` replaces every adaptive tau,
-    `direction=False` drops D, and without `semantic_weights` every expert
-    is size-weighted and updated."""
+    and the report. p_g is `global_routing(p_bar, omega)` for every method;
+    without `consistency` omega is uniform 1/N, so p_g is the renormalized
+    mean p_bar. `fixed_tau` replaces every adaptive tau, `direction=False`
+    drops D, and without `semantic_weights` every expert is size-weighted
+    and updated."""
     n, s = p_bar.shape
-    if consistency:
-        omega = consistency_weights(p_bar, margin)
-        p_g = global_routing(p_bar, omega)
-    else:
-        mean_p = p_bar.mean(axis=0)
-        omega = np.full((n, s), 1.0 / n)
-        p_g = mean_p / mean_p.sum()
+    omega = consistency_weights(p_bar, margin) if consistency else np.full((n, s), 1.0 / n)
+    p_g = global_routing(p_bar, omega)
 
     tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
     for e in range(s):

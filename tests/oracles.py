@@ -40,10 +40,9 @@ MARGIN_TWO_SAMPLES = (0.15, 0.1, 0.0)
 MASKED_KL_09_05 = 0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5)
 
 # Consistency weights for one expert, two clients:
-# p_bar=(0.6,0.2) so the cross-client mean mass is 0.4,
-# o = (0.6*0.4, 0.2*0.4) = (0.24, 0.08), margins (0.3, 0.1),
-# s = (0.072, 0.008), total 0.08, omega = (0.9, 0.1).
-OMEGA_TWO_CLIENTS = (0.072 / 0.08, 0.008 / 0.08)
+# p_bar=(0.6,0.2), margins (0.3, 0.1), scores p_bar * margin =
+# (0.18, 0.02), total 0.2, omega = (0.9, 0.1).
+OMEGA_TWO_CLIENTS = (0.18 / 0.2, 0.02 / 0.2)
 
 # cos([1,0], [1,1]) = 1 / sqrt(2).
 COS_UNIT_DIAG = 1.0 / math.sqrt(2.0)
@@ -188,6 +187,29 @@ def coinciding_means_loop(means):
 
 
 NORM_FLOOR = 1e-12
+
+
+def consistency_weights_loop(p_bar, margin):
+    """Reference for `server.consistency_weights`: for each expert e, each
+    client's score p_bar[i, e] * margin[i, e], summed over clients in
+    ascending order; omega[i, e] is the score over that sum, or 1/N when
+    the sum is below 1e-12. Computed in the inputs' dtype, at least
+    float64, so `np.longdouble` inputs give an 80-bit reference."""
+    import numpy as np
+
+    dtype = np.result_type(np.asarray(p_bar), np.asarray(margin), np.float64)
+    p_bar = np.asarray(p_bar, dtype=dtype)
+    margin = np.asarray(margin, dtype=dtype)
+    n, s = p_bar.shape
+    omega = np.zeros((n, s), dtype=dtype)
+    for e in range(s):
+        scores = [p_bar[i, e] * margin[i, e] for i in range(n)]
+        total = dtype.type(0.0)
+        for score in scores:
+            total += score
+        for i in range(n):
+            omega[i, e] = scores[i] / total if total >= NORM_FLOOR else dtype.type(1.0) / n
+    return omega
 
 
 def cosine_sim_scalar(a, b):

@@ -1,5 +1,6 @@
 """The mutant list of `tools/mutants.py` follows the code: each mutant's
-text is on exactly one line of its module, and the edit still parses."""
+text is on exactly one line of its module, and the edit still parses; and
+each accuracy gate it names is a test in its file."""
 
 import ast
 import importlib.util
@@ -23,3 +24,10 @@ def test_every_mutant_applies_to_one_line():
         mutated = tool.mutate(original, m)
         assert mutated != original, m.name
         ast.parse(mutated)
+
+
+def test_accuracy_gates_name_tests():
+    for gate in load_tool().ACCURACY_GATES:
+        path, name = gate.split("::")
+        tree = ast.parse((ROOT / path).read_text())
+        assert name in {node.name for node in tree.body if hasattr(node, "name")}, gate

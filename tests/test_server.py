@@ -21,6 +21,7 @@ from helpers import (
     zero_model,
 )
 from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_rows, init_params
+from fedalign.numeric import NORM_FLOOR
 from fedalign.server import (
     adaptive_threshold,
     aggregate_experts,
@@ -93,6 +94,115 @@ class TestConsistencyWeights:
         up = stack_uploads(st)
         omega = consistency_weights(up.p_bar, up.margin)
         np.testing.assert_allclose(omega[:, 0], 0.25, atol=1e-12)
+
+
+def scale_to_floor(p_bar, margin, e, factor):
+    """p_bar with expert e's column scaled so that its scores p_bar * margin
+    sum to factor * NORM_FLOOR (an all-zero column is left as it is)."""
+    out = p_bar.copy()
+    total = (p_bar[:, e] * margin[:, e]).sum()
+    if total > 0:
+        out[:, e] *= factor * NORM_FLOOR / total
+    return out
+
+
+class TestConsistencyWeightsOracle:
+    """`consistency_weights` against the scalar loop oracle, on draws with
+    zero-mass clients and columns whose scores sum just below and just
+    above NORM_FLOOR, and against the same oracle run in np.longdouble."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, s = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        p_bar = rng.dirichlet(np.ones(s), size=n) * (rng.random((n, s)) > 0.2)
+        margin = rng.uniform(0.0, 0.5, (n, s)) * (rng.random((n, s)) > 0.2)
+        for e, factor in zip(range(s), (1 - 1e-9, 1 + 1e-9, 0.5, 2.0)):
+            p_bar = scale_to_floor(p_bar, margin, e, factor)
+        omega = consistency_weights(p_bar, margin)
+        np.testing.assert_allclose(
+            omega, oracles.consistency_weights_loop(p_bar, margin), rtol=0, atol=1e-15
+        )
+        # Each score rounds once, the column sum adds n - 1 roundings of
+        # non-negative terms and the quotient one more: (n + 1) u relative
+        # to first order, (n + 2) eps with room for the rest.
+        ref = oracles.consistency_weights_loop(extended(p_bar), extended(margin))
+        err = np.abs(extended(omega) - ref)
+        assert np.all(err <= (n + 2) * np.finfo(np.float64).eps * ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaling_a_p_bar_column_leaves_its_omega(self, seed):
+        # Scaling expert e's p_bar column by c > 0 is what the cross-client
+        # mean mass did (c = mean p_bar[:, e]); the column normalization
+        # divides it out. Powers of two scale exactly, so nothing moves.
+        rng = np.random.default_rng(seed)
+        n, s = int(rng.integers(2, 10)), int(rng.integers(1, 6))
+        p_bar = rng.dirichlet(np.ones(s), size=n)
+        margin = rng.uniform(0.05, 0.5, (n, s))
+        omega = consistency_weights(p_bar, margin)
+        for e in range(s):
+            for c in (p_bar[:, e].mean(), 1e-3, 0.37, 3.0, 0.25, 8.0):
+                scaled = p_bar.copy()
+                scaled[:, e] *= c
+                got = consistency_weights(scaled, margin)
+                np.testing.assert_array_equal(np.delete(got, e, 1), np.delete(omega, e, 1))
+                if c in (0.25, 8.0):
+                    np.testing.assert_array_equal(got[:, e], omega[:, e])
+                else:
+                    np.testing.assert_allclose(
+                        got[:, e], omega[:, e], rtol=(n + 3) * np.finfo(np.float64).eps, atol=0
+                    )
+
+    @pytest.mark.parametrize("factor, uniform", [(1 - 1e-9, True), (1 + 1e-9, False)])
+    def test_fallback_boundary_is_the_score_sum(self, factor, uniform):
+        # Expert 0's scores sum to factor * NORM_FLOOR. Each client's p_bar
+        # is 0.01, so a score that also carried the mean mass would sum two
+        # orders below the floor on both sides.
+        share = np.array([0.1, 0.2, 0.3, 0.4])
+        p_bar = np.array([[0.01, 0.5]] * 4)
+        margin = np.column_stack([share * factor * NORM_FLOOR / 0.01, [0.1, 0.2, 0.3, 0.4]])
+        omega = consistency_weights(p_bar, margin)
+        if uniform:
+            np.testing.assert_array_equal(omega[:, 0], np.full(4, 0.25))
+        else:
+            np.testing.assert_allclose(omega[:, 0], share, rtol=1e-12)
+        np.testing.assert_allclose(omega[:, 1], share, rtol=1e-12)
+
+
+class TestAggregateRoundRouting:
+    """`aggregate_round`'s omega and p_g: p_g is `global_routing(p_bar,
+    omega)` under every method, with uniform omega without consistency
+    weighting."""
+
+    def round(self, seed, consistency):
+        rng = np.random.default_rng(seed)
+        n, s, p = 5, 3, 6
+        stats = [
+            make_stats(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s),
+                       mu=rng.normal(size=(s, 2)))
+            for _ in range(n)
+        ]
+        up = stack_uploads(stats, [expert_delta(rng.normal(size=(s, p))) for _ in range(n)])
+        _, p_g, rep = aggregate_round(
+            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
+            np.full(n, 1.0 / n), 1, beta=0.5, consistency=consistency,
+        )
+        return up, p_g, rep.omega
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_consistency(self, seed):
+        up, p_g, omega = self.round(seed, consistency=False)
+        n, s = up.p_bar.shape
+        np.testing.assert_array_equal(omega, np.full((n, s), 1.0 / n))
+        assert p_g.tobytes() == global_routing(up.p_bar, omega).tobytes()
+        mean = up.p_bar.mean(axis=0)
+        np.testing.assert_allclose(p_g, mean / mean.sum(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_with_consistency(self, seed):
+        up, p_g, omega = self.round(seed, consistency=True)
+        np.testing.assert_array_equal(omega, consistency_weights(up.p_bar, up.margin))
+        assert p_g.tobytes() == global_routing(up.p_bar, omega).tobytes()
 
 
 class TestGlobalRouting:

@@ -8,10 +8,13 @@ ablation flag, `fixed_tau` 0.5, and S = 8 experts with k = 3. Each run is
 `python -m fedalign.cli run` in its own subprocess with one OpenBLAS thread,
 importing the package from TREE/src. Each output file is compared byte for
 byte; for a file that differs, the largest absolute move of each field is
-printed. Then, for each workload or variant, the median over its seeds of
-each run's last-10-round mean accuracy is printed for both trees, so that a
-final-accuracy move can be read against the round-to-round swing. Exit 0
-when every file of every run is byte-identical, 1 otherwise.
+printed. Checkpoints are split into blocks by the change tree's own
+`fedalign.model.load_checkpoint`. Then, for each workload or variant, two
+accuracy readouts are printed for both trees, each the median over its
+seeds: each run's final-round global accuracy, the statistic perfbench
+reports as `final_accuracy`, and each run's last-10-round mean accuracy,
+so that a final-accuracy move can be read against the round-to-round
+swing. Exit 0 when every file of every run is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ VARIANTS = {
     "fixed_tau": {"fixed_tau": 0.5},
     "s8-k3": {"num_experts": 8, "top_k": 3},
 }
-CKPT_BLOCKS = ("embed", "gate", "expert_w1", "expert_b1", "expert_w2", "expert_b2", "head")
 
 
 def comparison_runs() -> list[tuple[str, dict]]:
@@ -84,13 +86,13 @@ def run(tree: Path, cfg: dict, out: Path) -> None:
 
 def fields(path: Path) -> dict[str, np.ndarray]:
     """Every field of an output file as a flat array: a JSON key across the
-    lines, a CSV column, or a checkpoint block."""
+    lines, a CSV column, or a checkpoint block. The package is imported
+    here, from the tree that `main` puts first on the path."""
     if path.suffix == ".ckpt":
-        raw = path.read_bytes()
-        d, h, s, _, c, e = np.frombuffer(raw, "<u4", 6, 8)
-        sizes = (d * h, h * s, s * h * e, s * e, s * e * h, s * h, h * c)
-        body = np.frombuffer(raw, "<f8", offset=32)
-        return dict(zip(CKPT_BLOCKS, np.split(body, np.cumsum(sizes)[:-1])))
+        from fedalign.model import ModelParams, load_checkpoint
+
+        _, params = load_checkpoint(path)
+        return {b: getattr(params, b).ravel() for b in ModelParams.BLOCKS}
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             header, *rows = list(csv.reader(fh))
@@ -100,11 +102,39 @@ def fields(path: Path) -> dict[str, np.ndarray]:
     return {k: np.hstack([np.ravel(line[k]) for line in lines if k in line]) for k in keys}
 
 
+def accuracies(metrics: Path) -> list[float]:
+    """Each round's global accuracy, read from a run's `metrics.jsonl`."""
+    records = [json.loads(line) for line in metrics.read_text().splitlines()[1:]]
+    return [r["global_accuracy"] for r in records]
+
+
+def final_accuracy(metrics: Path) -> float:
+    """The final round's global accuracy."""
+    return accuracies(metrics)[-1]
+
+
 def steady_accuracy(metrics: Path) -> float:
     """Mean global accuracy over a run's last 10 rounds (all of a shorter
-    run's rounds), read from its `metrics.jsonl`."""
-    records = [json.loads(line) for line in metrics.read_text().splitlines()[1:]]
-    return float(np.mean([r["global_accuracy"] for r in records[-10:]]))
+    run's rounds)."""
+    return float(np.mean(accuracies(metrics)[-10:]))
+
+
+READOUTS = {
+    "final-round accuracy (perfbench's final_accuracy)": final_accuracy,
+    "last-10-round mean accuracy": steady_accuracy,
+}
+
+
+def accuracy_readouts(outputs: dict[str, list[tuple[Path, Path]]]) -> dict[str, dict]:
+    """For each readout and each group's (parent, change) output directories,
+    one per seed: the median over the seeds, (parent, change)."""
+    out = {}
+    for label, read in READOUTS.items():
+        out[label] = {}
+        for group, pairs in outputs.items():
+            values = [[read(d / "metrics.jsonl") for d in pair] for pair in pairs]
+            out[label][group] = tuple(np.median(values, axis=0))
+    return out
 
 
 def moves(a: Path, b: Path) -> dict[str, str]:
@@ -126,15 +156,15 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--work", type=Path, help="output directory (default: a temporary one)")
     args = p.parse_args(argv)
+    sys.path.insert(0, str(args.change.resolve() / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        differ, steady = 0, {}
+        differ, outputs = 0, {}
         for name, cfg in comparison_runs():
             old, new = work / "parent" / name, work / "change" / name
             run(args.parent, cfg, old)
             run(args.change, cfg, new)
-            pair = [steady_accuracy(out / "metrics.jsonl") for out in (old, new)]
-            steady.setdefault(name.rsplit("-seed", 1)[0], []).append(pair)
+            outputs.setdefault(name.rsplit("-seed", 1)[0], []).append((old, new))
             for f in OUTPUT_FILES:
                 a, b = old / f, new / f
                 same = a.read_bytes() == b.read_bytes()
@@ -143,10 +173,11 @@ def main(argv=None) -> int:
                 if not same:
                     for field, move in moves(a, b).items():
                         print(f"    {field}: {move}")
-    print("last-10-round mean accuracy, median over seeds: parent -> change")
-    for group, values in steady.items():
-        parent, change = np.median(values, axis=0)
-        print(f"    {group}: {parent:.4f} -> {change:.4f} ({change - parent:+.4f})")
+        readouts = accuracy_readouts(outputs)
+    for label, groups in readouts.items():
+        print(f"{label}, median over seeds: parent -> change")
+        for group, (parent, change) in groups.items():
+            print(f"    {group}: {parent:.4f} -> {change:.4f} ({change - parent:+.4f})")
     total = len(comparison_runs()) * len(OUTPUT_FILES)
     print(f"{total - differ}/{total} files byte-identical")
     return 1 if differ else 0
