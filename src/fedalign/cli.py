@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import METHODS, ConfigError, ExperimentConfig, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON file with ExperimentConfig fields")
     run.add_argument("--seed", type=int, help="override the root seed")
     run.add_argument("--out", default="out", help="output directory")
-    run.add_argument("--method", choices=("fedalign", "fedavg", "fedprox"))
+    run.add_argument("--method", choices=METHODS)
     run.add_argument("--ablate", help="comma-separated ablation flags")
     return parser
 

@@ -100,7 +100,7 @@ def reg_loss(trace: M.ForwardTrace, ctx: RegContext) -> float:
 
     The per-sample values are added front to back from 0.0, not by numpy's
     pairwise sum, which keeps the reported `mean_reg_loss` byte-stable."""
-    vals, _ = M.masked_kl(trace.full_probs, trace.topk_idx, ctx.ref, ctx.p_g, ctx.alpha)
+    vals = M.masked_kl_values(trace.full_probs, trace.topk_idx, ctx.ref, ctx.p_g, ctx.alpha)
     return float(np.add.accumulate(np.concatenate(([0.0], vals)))[-1]) / trace.batch_size
 
 
@@ -120,8 +120,8 @@ def local_round(
     statistics in one evaluation pass with the final parameters.
 
     prox_mu > 0 adds the FedProx proximal gradient prox_mu * (theta -
-    prox_ref) to the gradient (FedProx client). lr may be 0, which
-    degenerates to a pure evaluation pass with zero deltas.
+    prox_ref) to the gradient (FedProx client) and requires prox_ref. lr
+    may be 0, which degenerates to a pure evaluation pass with zero deltas.
 
     Each epoch gathers the shard in its permuted order once and slices the
     mini-batches from it. The update is one operation on the parameters'
@@ -129,6 +129,8 @@ def local_round(
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
+    if prox_mu > 0.0 and prox_ref is None:
+        raise ValueError(f"prox_mu={prox_mu} > 0 requires prox_ref, the model to stay near")
     params = params_in.copy()
     theta = params.flat
 
@@ -142,7 +144,7 @@ def local_round(
             if loss is None or not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss, aborting round")
             grad = M.backward(trace, params, lam=ctx.lam, reg_ctx=ctx).flat
-            if prox_mu > 0.0 and prox_ref is not None:
+            if prox_mu > 0.0:
                 grad += prox_mu * (theta - prox_ref.flat)
             theta -= lr * grad
             params.check_finite()

@@ -15,6 +15,7 @@ import numbers
 import zlib
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,6 +51,19 @@ def child_rng(root_seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+# A field's annotation is all of its check. `int` is an integer below
+# INT_LIMIT: `child_rng` keeps the seed mod 2**32, the checkpoint header
+# stores the model dims as uint32, and a larger count would never finish.
+# `float` is a finite number, integers included; bools are neither.
+# `Annotated[kind, op, low]` adds the lower bound `op low`, checked once the
+# type is right. The model dims (MODEL_FIELDS) have none; MoEConfig checks them.
+INT_LIMIT = 2**32
+MODEL_FIELDS = tuple(f.name for f in fields(M.MoEConfig))
+Count = Annotated[int, ">=", 1]
+Positive = Annotated[float, ">", 0]
+NonNegative = Annotated[float, ">=", 0]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     method: str = "fedalign"
@@ -61,24 +75,24 @@ class ExperimentConfig:
     num_classes: int = 8
     expert_hidden: int = 32
     # synthetic task
-    noise_std: float = 3.5
-    samples_per_class: int = 200
-    test_samples_per_class: int = 50
-    mean_scale: float = 2.0
+    noise_std: Positive = 3.5
+    samples_per_class: Count = 200
+    test_samples_per_class: Count = 50
+    mean_scale: Positive = 2.0
     # federation
-    num_clients: int = 10
-    rounds: int = 25
-    local_epochs: int = 3
-    lr: float = 0.2
-    batch_size: int = 32
-    dirichlet_alpha: float = 0.1
+    num_clients: Count = 10
+    rounds: Count = 25
+    local_epochs: Count = 3
+    lr: Positive = 0.2
+    batch_size: Count = 32
+    dirichlet_alpha: Positive = 0.1
     # alignment hyper-parameters
-    lam: float = 0.1
-    eta: float = 0.1
-    beta: float = 0.5
-    prox_mu: float = 0.01
+    lam: NonNegative = 0.1
+    eta: NonNegative = 0.1
+    beta: NonNegative = 0.5
+    prox_mu: NonNegative = 0.01
     # reproducibility and variants
-    seed: int = 0
+    seed: Annotated[int, ">=", 0] = 0
     ablations: tuple[str, ...] = ()
     fixed_tau: float | None = None
 
@@ -86,23 +100,27 @@ class ExperimentConfig:
         errors = []
         if self.method not in METHODS:
             errors.append(f"method must be one of {METHODS}, got {self.method!r}")
-        for name, (kind, low, strict) in NUMERIC_FIELDS.items():
+        hints = get_type_hints(ExperimentConfig, include_extras=True)
+        for name, hint in ((f.name, hints[f.name]) for f in fields(self)):
+            kind, *bound = get_args(hint) if get_origin(hint) is Annotated else (hint,)
+            if kind not in (int, float):
+                continue
             value = getattr(self, name)
             if not _is_type(value, kind):
                 what = "an integer" if kind is int else "a finite number"
                 errors.append(f"{name} must be {what}, got {value!r}")
-            elif low is not None and (value <= low if strict else value < low):
-                errors.append(f"{name} must be {'>' if strict else '>='} {low}")
+            elif bound and (value <= bound[1] if bound[0] == ">" else value < bound[1]):
+                errors.append(f"{name} must be {bound[0]} {bound[1]}")
             elif kind is int and value >= INT_LIMIT:
                 errors.append(f"{name} must be < 2**32, got {value}")
-        if self.fixed_tau is not None and not _is_type(self.fixed_tau, float):
-            errors.append(f"fixed_tau must be a finite number or null, got {self.fixed_tau!r}")
         if not isinstance(self.ablations, tuple):
             errors.append(f"ablations must be a list of flag names, got {self.ablations!r}")
         else:
             for flag in self.ablations:
                 if flag not in ABLATION_FLAGS:
                     errors.append(f"unknown ablation flag {flag!r}")
+        if self.fixed_tau is not None and not _is_type(self.fixed_tau, float):
+            errors.append(f"fixed_tau must be a finite number or null, got {self.fixed_tau!r}")
         counts = (self.num_clients, self.num_classes, self.samples_per_class)
         if all(_is_type(v, int) and v >= 1 for v in counts):
             pool = self.num_classes * self.samples_per_class
@@ -130,33 +148,6 @@ class ExperimentConfig:
 
     def ablated(self, flag: str) -> bool:
         return flag in self.ablations
-
-
-MODEL_FIELDS = tuple(f.name for f in fields(M.MoEConfig))
-# Field -> (type, lower bound or None, bound is strict). The bounds are only
-# checked once the type is right; `float` means a finite real number, and
-# every `int` field must also be below INT_LIMIT: `child_rng` keeps the seed
-# mod 2**32, the checkpoint header stores the model dims as uint32, and a
-# larger count would never finish.
-INT_LIMIT = 2**32
-NUMERIC_FIELDS = {
-    **{name: (int, None, False) for name in MODEL_FIELDS},  # MoEConfig checks these
-    "samples_per_class": (int, 1, False),
-    "test_samples_per_class": (int, 1, False),
-    "num_clients": (int, 1, False),
-    "rounds": (int, 1, False),
-    "local_epochs": (int, 1, False),
-    "batch_size": (int, 1, False),
-    "seed": (int, 0, False),
-    "noise_std": (float, 0, True),
-    "mean_scale": (float, 0, True),
-    "lr": (float, 0, True),
-    "dirichlet_alpha": (float, 0, True),
-    "lam": (float, 0, False),
-    "eta": (float, 0, False),
-    "beta": (float, 0, False),
-    "prox_mu": (float, 0, False),
-}
 
 
 def _is_type(value, kind) -> bool:
@@ -299,7 +290,7 @@ def run_round(
     deltas = M.ModelParams.from_flat(np.empty((n, state.global_params.flat.size)), shapes)
     gates = np.empty_like(deltas.gate)
     p_bar, margin = np.empty((n, s)), np.empty((n, s))
-    mu, mu_empty = np.empty((s, n, cfg.hidden_dim)), np.empty((s, n), dtype=bool)
+    mu, mu_empty = np.empty((n, s, cfg.hidden_dim)), np.empty((n, s), dtype=bool)
     local_loss, reg_loss = np.empty(n), np.empty(n)
     for i, shard in enumerate(data.shards):
         start = client_start(cfg, state, i)
@@ -316,7 +307,7 @@ def run_round(
         deltas.flat[i] = res.param_delta.flat
         gates[i] = start.gate + res.param_delta.gate
         p_bar[i], margin[i], local_loss[i] = res.p_bar, res.margin, res.mean_local_loss
-        mu[:, i], mu_empty[:, i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
+        mu[i], mu_empty[i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
 
     global_params, p_g, report = S.aggregate_round(
         state.global_params, deltas, p_bar, margin, mu, mu_empty, data.size_weights, t,

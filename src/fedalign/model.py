@@ -266,17 +266,13 @@ def _expert_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
-def masked_kl(fp, topk_idx, ref, p_g, alpha):
-    """Masked, renormalized KL between each sample's full routing softmax and
-    the global reference, and its gradient.
+def _kl_pair(fp, topk_idx, ref, p_g):
+    """Each softmax row of `fp` (B, S) and `p_g`, renormalized over the row's
+    mask: its dispatch set `topk_idx` (B, k), the experts `forward` routed
+    it to, OR the reference set `ref`, the top-k of `p_g`. Returns the mask
+    and the row's `pt`, expert-major (S, B) and zero off the mask, its mass
+    on the mask `zp` (B,) and log(pt / qt), the reference `qt` floored at EPS.
 
-    `fp` is a batch of softmax rows (B, S). A row's mask is its dispatch set
-    `topk_idx` (B, k), the experts `forward` routed it to, OR the reference
-    set `ref`, the top-k of `p_g`; both distributions are renormalized over
-    the mask so the comparison is a proper distribution pair. Returns the
-    values (B,) and their gradients with respect to `fp` (B, S).
-
-    The work is dense in an expert-major (S, B) layout, zero off the mask.
     Every sum over experts adds them one at a time in ascending index order
     (`_expert_sum`), and an entry off the mask adds an exact 0, so a row's
     sums are those of its mask members alone, in index order, for any S.
@@ -290,14 +286,24 @@ def masked_kl(fp, topk_idx, ref, p_g, alpha):
     zp = np.maximum(_expert_sum(f), EPS)
     zq = np.maximum(_expert_sum(q), EPS)
     pt = f / zp
-    qt = np.maximum(q / zq, EPS)
-    log_ratio = np.log(np.maximum(pt, EPS) / qt)
-    val = _expert_sum(alpha[:, None] * np.where(pt > 0.0, pt * log_ratio, 0.0))
+    return mask, pt, zp, np.log(np.maximum(pt, EPS) / np.maximum(q / zq, EPS))
+
+
+def masked_kl_values(fp, topk_idx, ref, p_g, alpha):
+    """The masked, renormalized KL (B,) of each softmax row of `fp` (B, S)
+    against the global reference `p_g` (`_kl_pair`), weighted by `alpha`."""
+    _, pt, _, log_ratio = _kl_pair(fp, topk_idx, ref, p_g)
+    return _expert_sum(alpha[:, None] * np.where(pt > 0.0, pt * log_ratio, 0.0))
+
+
+def masked_kl(fp, topk_idx, ref, p_g, alpha):
+    """The gradient (B, S) of `masked_kl_values` with respect to `fp`."""
+    mask, pt, zp, log_ratio = _kl_pair(fp, topk_idx, ref, p_g)
     # d val / d pt, then back through the renormalization pt = fp/zp.
     dpt = alpha[:, None] * (log_ratio + 1.0)
-    dfp = np.zeros((b, s))
+    dfp = np.zeros(fp.shape)
     np.copyto(dfp.T, (dpt - _expert_sum(dpt * pt)) / zp, where=mask)
-    return val, dfp
+    return dfp
 
 
 def backward(
@@ -306,11 +312,10 @@ def backward(
     """Exact gradients of L_total = L_local + lam * L_reg for one batch.
 
     `reg_ctx` must expose `p_g`, `alpha` and the reference set `ref`; it is
-    required when lam > 0 and only consulted then. The KL mask is each row's
-    dispatch set `trace.topk_idx` OR `ref`. Gradients of experts outside
-    every row's top-k are zero.
-    Returns the gradients as a ModelParams laid out like `params`, each
-    block written into its view of one buffer.
+    required when lam > 0 and only consulted then (`masked_kl`). Gradients
+    of experts outside every row's top-k are zero. Returns the gradients as
+    a ModelParams laid out like `params`, each block written into its view
+    of one buffer.
     """
     if trace.labels is None:
         raise ValueError("backward requires a trace with labels")
@@ -345,9 +350,7 @@ def backward(
 
     # KL regularizer through the full softmax (batch mean).
     if lam > 0.0:
-        _, dfp = masked_kl(
-            trace.full_probs, trace.topk_idx, reg_ctx.ref, reg_ctx.p_g, reg_ctx.alpha
-        )
+        dfp = masked_kl(trace.full_probs, trace.topk_idx, reg_ctx.ref, reg_ctx.p_g, reg_ctx.alpha)
         dfp *= lam / b
         dg += _softmax_backward(trace.full_probs, dfp)
 

@@ -2,14 +2,15 @@
 global routing reference, semantic-aware expert aggregation with adaptive
 thresholds, and size-weighted averaging for the remaining blocks.
 
-Every input carries one client axis of length N, in client-id order: the
-routing masses and margins are (N, S), and the round's updates one
-`ModelParams` of deltas whose blocks lead with N. Semantic gating works on
-one expert at a time: its mu rows (N, H), its update rows (N, P) and its
-(N, N) similarity, consensus and gate matrices; only gamma's (S, N) row
-sums reach `expert_weights`. Every block is aggregated by the one kernel
-`weighted_average`, which accumulates in ascending client order, so results
-are bitwise reproducible. `aggregate_round` joins them into the round.
+Every input leads with one client axis of length N, in client-id order, so
+`[:, e]` reads expert e of every client: the routing masses and margins
+(N, S), the mu rows (N, S, H) and flags (N, S), and the deltas, one
+`ModelParams` whose blocks lead with N. Semantic gating takes one expert
+at a time: (N, H) mu rows, (N, P) update rows and (N, N) similarity,
+consensus and gate; only gamma's (S, N) row sums reach `expert_weights`.
+Every block is aggregated by the one kernel `weighted_average`, which
+accumulates in ascending client order, so results are bitwise
+reproducible. `aggregate_round` joins them into the round.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def aggregate_round(
     beta, fixed_tau=None, consistency=True, semantic_weights=True, direction=True,
 ) -> tuple[M.ModelParams, np.ndarray, AggregationReport]:
     """The server's round from the stacked uploads (p_bar and margin (N, S),
-    mu (S, N, H), mu_empty (S, N), deltas): the new global model, p_g (S,)
+    mu (N, S, H), mu_empty (N, S), deltas): the new global model, p_g (S,)
     and the report. p_g is `global_routing(p_bar, omega)` for every method;
     without `consistency` omega is uniform 1/N, so p_g is the renormalized
     mean p_bar. `fixed_tau` replaces every adaptive tau, `direction=False`
@@ -184,7 +185,9 @@ def aggregate_round(
 
     tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
     for e in range(s):
-        sim, dcons = pairwise_semantics(mu[e], mu_empty[e], M.expert_rows(deltas, np.s_[:, e]))
+        sim, dcons = pairwise_semantics(
+            mu[:, e], mu_empty[:, e], M.expert_rows(deltas, np.s_[:, e])
+        )
         tau[e], mean_sim[e], disp[e] = adaptive_threshold(sim, beta)
         if fixed_tau is not None:
             tau[e] = fixed_tau

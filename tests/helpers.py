@@ -75,16 +75,16 @@ Stats = namedtuple("Stats", "p_bar margin mu mu_empty")
 def stack_uploads(stats, deltas=()):
     """Per-client uploads as the server takes them, on one client axis.
 
-    From the `Stats`: p_bar and margin (N, S), mu (S, N, H) and
-    mu_empty (S, N). From the update `ModelParams`: deltas, one `ModelParams`
+    From the `Stats`: p_bar and margin (N, S), mu (N, S, H) and
+    mu_empty (N, S). From the update `ModelParams`: deltas, one `ModelParams`
     whose blocks lead with N. An empty list leaves its side None.
     """
     up = SimpleNamespace(p_bar=None, margin=None, mu=None, mu_empty=None, deltas=None)
     if len(stats):
         up.p_bar = np.stack([st.p_bar for st in stats])
         up.margin = np.stack([st.margin for st in stats])
-        up.mu = np.stack([st.mu for st in stats], axis=1)
-        up.mu_empty = np.stack([st.mu_empty for st in stats], axis=1)
+        up.mu = np.stack([st.mu for st in stats])
+        up.mu_empty = np.stack([st.mu_empty for st in stats])
     if len(deltas):
         up.deltas = ModelParams(
             *(np.stack([getattr(d, b) for d in deltas]) for b in ModelParams.BLOCKS)

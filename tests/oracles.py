@@ -133,7 +133,8 @@ def aggregate_round_flat(global_params, deltas, weights, updated, sizes):
 
 
 def masked_kl_row(fp_row, dispatch, p_g, alpha, k, want_grad=False):
-    """Reference for `model.masked_kl`: one sample at a time.
+    """Reference for `model.masked_kl_values` and its gradient
+    `model.masked_kl`: one sample at a time.
 
     Mask = the row's dispatch set (the experts it was routed to) union the
     top-k of p_g (ties to the lower index); both distributions renormalized
@@ -271,7 +272,7 @@ def semantic_chain_batched(mu, mu_empty, deltas, beta, fixed_tau=None, use_direc
     sigmoid(S - tau) * max(0, D) (the D factor dropped without
     use_direction), gamma's row sums over the partner axis and the weights
     w_i(e) = row_i(e) / sum_i row_i(e), experts below NORM_FLOOR not
-    updated. Takes mu (S, N, H), mu_empty (S, N) and the stacked deltas
+    updated. Takes mu (N, S, H), mu_empty (N, S) and the stacked deltas
     (blocks lead with N); the cosines and the gate come from the package's
     kernels, so slice e of each output is bit-identical to a correct
     per-expert split. Returns a SimpleNamespace of sim, dcons, tau,
@@ -282,7 +283,7 @@ def semantic_chain_batched(mu, mu_empty, deltas, beta, fixed_tau=None, use_direc
 
     from fedalign.numeric import cosine_sim, sigmoid
 
-    s, n = mu_empty.shape
+    n, s = mu_empty.shape
     sim = np.empty((s, n, n))
     dcons = np.empty((s, n, n))
     for e in range(s):
@@ -290,9 +291,9 @@ def semantic_chain_batched(mu, mu_empty, deltas, beta, fixed_tau=None, use_direc
             [getattr(deltas, b)[:, e].reshape(n, -1) for b in EXPERT_BLOCKS], axis=1
         )
         d = cosine_sim(rows)
-        valid = ~mu_empty[e] & (np.diagonal(d) > 0.0)
+        valid = ~mu_empty[:, e] & (np.diagonal(d) > 0.0)
         pair = valid[:, None] & valid[None, :]
-        sim[e] = np.where(pair, cosine_sim(mu[e]), 0.0)
+        sim[e] = np.where(pair, cosine_sim(mu[:, e]), 0.0)
         dcons[e] = np.where(pair, d, 0.0)
     mean_sim = sim.reshape(s, -1).mean(axis=1)
     disp = np.sqrt(((sim.reshape(s, -1) - mean_sim[:, None]) ** 2).mean(axis=1))

@@ -98,7 +98,7 @@ def test_criterion_1_gradient_fidelity(report):
                 t, ce = M.forward(config, probe, x, labels)
                 if lam == 0.0:
                     return ce
-                vals, _ = M.masked_kl(t.full_probs, t.topk_idx, ctx.ref, p_g, alpha)
+                vals = M.masked_kl_values(t.full_probs, t.topk_idx, ctx.ref, p_g, alpha)
                 return ce + lam * vals.mean()
 
             for block in M.ModelParams.BLOCKS:
@@ -117,12 +117,12 @@ def test_criterion_1_gradient_fidelity(report):
 
 def test_criterion_2_formula_oracles(report):
     # The routing softmax is forward's, on gate scores [ln 2, 0]; the KL
-    # summand is masked_kl's, with the mask on both experts and alpha [1, 0].
+    # summand is masked_kl_values', with the mask on both experts and alpha [1, 0].
     both = np.array([0, 1])
     checks = []
     checks.append(abs(gate_softmax(np.array([[math.log(2), 0.0]]))[0, 0]
                       - oracles.SOFTMAX_LN2_0[0]) < 1e-9)
-    kl, _ = M.masked_kl(
+    kl = M.masked_kl_values(
         np.array([[0.8, 0.2]]), both[None], both, np.array([0.2, 0.8]), np.array([1.0, 0.0])
     )
     checks.append(abs(kl[0] - oracles.KL_TERM_08_02) < 1e-9)
@@ -137,7 +137,9 @@ def test_criterion_2_formula_oracles(report):
         C.compute_margin(type("T", (), {"full_probs": np.array(
             [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]), "topk_idx": np.array([[0], [1]])})),
         oracles.MARGIN_TWO_SAMPLES, atol=1e-9))
-    kl, _ = M.masked_kl(np.array([[0.9, 0.1]]), both[None], both, np.array([0.5, 0.5]), np.ones(2))
+    kl = M.masked_kl_values(
+        np.array([[0.9, 0.1]]), both[None], both, np.array([0.5, 0.5]), np.ones(2)
+    )
     checks.append(abs(kl[0] - oracles.MASKED_KL_09_05) < 1e-9)
     checks.append(abs(C.compute_alpha(np.array([0.1 + math.log(3)]), 0.1)[0]
                       - oracles.SIGMOID_LN3) < 1e-9)

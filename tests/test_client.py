@@ -3,6 +3,7 @@ behaviour and the training loop against the per-block loop it replaced."""
 
 import math
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from fedalign.client import (
     local_round,
     reg_loss,
 )
+from fedalign import model as M
 from fedalign.data import ClientDataset
 from fedalign.model import (
     MoEConfig,
@@ -274,6 +276,28 @@ class TestLocalRound:
         trace, _ = forward(config, params, shard.features, shard.labels)
         np.testing.assert_allclose(res.p_bar, compute_p_bar(trace), atol=1e-12)
         np.testing.assert_allclose(res.margin, compute_margin(trace), atol=1e-12)
+
+    def test_prox_mu_requires_prox_ref(self):
+        # Without a reference model the proximal term has nothing to pull
+        # toward; training plain SGD instead would hide the wiring mistake.
+        config, params, shard, ctx = make_setup()
+        with pytest.raises(ValueError, match=r"prox_mu=0\.1 > 0 requires prox_ref"):
+            local_round(config, params, shard, ctx, 1, 0.1, np.random.default_rng(0),
+                        prox_mu=0.1)
+
+    def test_steps_form_the_kl_gradient_only(self, monkeypatch):
+        # Each SGD step with lam > 0 takes the KL gradient and never the
+        # values; the round forms those once, on the whole shard, for
+        # mean_reg_loss.
+        calls = Counter()
+        for name in ("masked_kl", "masked_kl_values"):
+            def counted(*args, _fn=getattr(M, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(M, name, counted)
+        config, params, shard, ctx = make_setup(n=32)
+        local_round(config, params, shard, ctx, 2, 0.1, np.random.default_rng(0), batch_size=8)
+        assert calls == {"masked_kl": 2 * 4, "masked_kl_values": 1}
 
     def test_lambda_zero_equals_alpha_zero(self):
         # The regularizer disappears both when lam=0 and when every alpha is

@@ -44,6 +44,12 @@ TINY = dict(
 )
 
 
+# Every int and float option, read from the field declarations.
+NUMERIC_OPTIONS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if type(f.default) in (int, float)
+]
+
+
 def tiny_config(**kw):
     merged = dict(TINY)
     merged.update(kw)
@@ -100,6 +106,14 @@ class TestConfigValidation:
     def test_rejects_wrong_type_or_non_finite(self, field, value):
         errors = ExperimentConfig(**{field: value}).validate()
         assert len(errors) == 1 and errors[0].startswith(field), errors
+
+    @pytest.mark.parametrize("value", ["1", True], ids=["str", "bool"])
+    @pytest.mark.parametrize("field", NUMERIC_OPTIONS)
+    def test_every_numeric_option_is_type_checked(self, field, value):
+        # No option escapes the check by being left out of a list: the
+        # field's declaration is all that validate() reads.
+        errors = ExperimentConfig(**{field: value}).validate()
+        assert len(errors) == 1 and errors[0].startswith(f"{field} must be"), errors
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 2**32), ("rounds", 10**400), ("num_experts", 2**32),

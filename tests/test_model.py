@@ -26,6 +26,7 @@ from fedalign.model import (
     init_params,
     load_checkpoint,
     masked_kl,
+    masked_kl_values,
     save_checkpoint,
     top_k_select,
 )
@@ -229,7 +230,7 @@ def total_loss(config, params, x, labels, lam, ctx):
     trace, ce = forward(config, params, x, labels)
     if lam == 0.0:
         return ce
-    vals, _ = masked_kl(trace.full_probs, trace.topk_idx, ctx.ref, ctx.p_g, ctx.alpha)
+    vals = masked_kl_values(trace.full_probs, trace.topk_idx, ctx.ref, ctx.p_g, ctx.alpha)
     return ce + lam * vals.mean()
 
 
@@ -388,26 +389,34 @@ def test_backward_with_lam_requires_reg_ctx():
         backward(trace, params, lam=0.1)
 
 
+def kl_and_grad(*args):
+    """`masked_kl_values` and `masked_kl` (the gradient) on the same inputs."""
+    return masked_kl_values(*args), masked_kl(*args)
+
+
 class TestMaskedKl:
-    """`masked_kl(fp, topk_idx, ref, p_g, alpha)`: the mask of row i is its
-    dispatch set `topk_idx[i]` OR the reference set `ref`."""
+    """`masked_kl_values(fp, topk_idx, ref, p_g, alpha)` and its gradient
+    `masked_kl`: the mask of row i is its dispatch set `topk_idx[i]` OR the
+    reference set `ref`."""
 
     def test_equal_on_mask_is_zero(self):
         p = np.array([0.5, 0.3, 0.2])
-        vals, _ = masked_kl(p[None], np.array([[0, 1]]), np.array([0, 1]), p.copy(), np.ones(3))
+        vals = masked_kl_values(
+            p[None], np.array([[0, 1]]), np.array([0, 1]), p.copy(), np.ones(3)
+        )
         assert vals[0] == 0.0
 
     def test_alpha_zero(self):
         p = np.array([[0.9, 0.05, 0.05]])
         q = np.array([0.1, 0.4, 0.5])
-        vals, dfp = masked_kl(p, np.array([[0, 1]]), np.array([1, 2]), q, np.zeros(3))
+        vals, dfp = kl_and_grad(p, np.array([[0, 1]]), np.array([1, 2]), q, np.zeros(3))
         assert vals[0] == 0.0 and not dfp.any()
 
     def test_hand_value(self):
         # Both sets cover both experts; renormalization is then a no-op and
         # the value is the plain two-term KL.
         both = np.array([0, 1])
-        vals, _ = masked_kl(
+        vals = masked_kl_values(
             np.array([[0.9, 0.1]]), both[None], both, np.array([0.5, 0.5]), np.ones(2)
         )
         assert abs(vals[0] - oracles.MASKED_KL_09_05) < 1e-9
@@ -418,7 +427,7 @@ class TestMaskedKl:
         # {0, 1}, and the gradient is 0 off them.
         fp = np.array([[0.7, 0.3, 0.0], [0.2, 0.3, 0.5]])
         p_g = np.array([0.2, 0.5, 0.3])
-        vals, dfp = masked_kl(fp, np.array([[2], [0]]), np.array([1]), p_g, np.ones(3))
+        vals, dfp = kl_and_grad(fp, np.array([[2], [0]]), np.array([1]), p_g, np.ones(3))
         assert dfp[0, 0] == 0.0 and dfp[0, 2] != 0.0 and dfp[1, 2] == 0.0
         # Row 0: all of its mass on the mask sits on expert 1, q = 0.5 / 0.8.
         assert abs(vals[0] - np.log(0.8 / 0.5)) < 1e-12
@@ -430,9 +439,9 @@ class TestMaskedKl:
         fp = softmax(rng.normal(size=(3, 5)))
         p_g, alpha = softmax(rng.normal(size=5)), rng.uniform(size=5)
         topk, ref = top_k_select(fp, 2), top_k_select(p_g, 2)
-        vals, dfp = masked_kl(fp, topk, ref, p_g, alpha)
+        vals, dfp = kl_and_grad(fp, topk, ref, p_g, alpha)
         assert vals.shape == (3,) and dfp.shape == (3, 5)
-        one, done = masked_kl(fp[:1], topk[:1], ref, p_g, alpha)
+        one, done = kl_and_grad(fp[:1], topk[:1], ref, p_g, alpha)
         assert one.shape == (1,) and done.shape == (1, 5)
         assert one[0] == vals[0] and np.array_equal(done[0], dfp[0])
 
@@ -470,7 +479,7 @@ class TestMaskedKl:
             "some-zero": rng.uniform(size=s) * (rng.uniform(size=s) < 0.5),
         }[alpha_kind]
         ref = top_k_select(p_g, k)
-        vals, dfp = masked_kl(fp, topk, ref, p_g, alpha)
+        vals, dfp = kl_and_grad(fp, topk, ref, p_g, alpha)
         assert vals.shape == (b,) and dfp.shape == (b, s)
         for i in range(b):
             want_val, want_dfp = oracles.masked_kl_row(
@@ -486,7 +495,7 @@ class TestMaskedKl:
                 assert abs(vals[i] - want_val) <= 1e-13
                 assert np.max(np.abs(dfp[i] - want_dfp)) <= 1e-13 * scale
             # One row alone takes `_expert_sum`'s single-column branch.
-            row_val, row_dfp = masked_kl(fp[i : i + 1], topk[i : i + 1], ref, p_g, alpha)
+            row_val, row_dfp = kl_and_grad(fp[i : i + 1], topk[i : i + 1], ref, p_g, alpha)
             assert row_val[0] == vals[i] and np.array_equal(row_dfp[0], dfp[i])
 
 

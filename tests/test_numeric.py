@@ -2,7 +2,7 @@
 Gram-form cosine kernel against the one-pair oracle in float64 and in
 `np.longdouble`. The routing softmax and the KL summand are checked where
 the program computes them: `forward`'s full routing softmax and
-`model.masked_kl` with every expert on the mask."""
+`model.masked_kl_values` with every expert on the mask."""
 
 import math
 import os
@@ -26,7 +26,7 @@ from helpers import (
     grad_check,
     softmax,
 )
-from fedalign.model import masked_kl
+from fedalign.model import masked_kl_values
 from fedalign.numeric import EPS, NORM_FLOOR, cosine_sim, sigmoid
 
 STAT_TOL = 1e-9
@@ -62,18 +62,18 @@ class TestSoftmax:
 
 
 def kl_pair(p, q, alpha):
-    """`masked_kl` of the row [p, 1 - p] against [q, 1 - q] with both
+    """`masked_kl_values` of the row [p, 1 - p] against [q, 1 - q] with both
     experts in the dispatch and reference sets, so the mask holds both and
     the value is alpha-weighted KL summands p*log(p/q)."""
     both = np.array([0, 1])
-    vals, _ = masked_kl(
+    vals = masked_kl_values(
         np.array([[p, 1.0 - p]]), both[None], both, np.array([q, 1.0 - q]), np.array(alpha)
     )
     return vals[0]
 
 
 class TestKlTerm:
-    """The KL summand inside `masked_kl`; alpha = [1, 0] isolates the first."""
+    """The KL summand inside `masked_kl_values`; alpha = [1, 0] isolates the first."""
 
     def test_identical(self):
         assert kl_pair(0.5, 0.5, [1.0, 1.0]) == 0.0

@@ -252,7 +252,9 @@ def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
 
 def expert_semantics(up, e):
     """`pairwise_semantics` of expert e, as `aggregate_round` calls it."""
-    return pairwise_semantics(up.mu[e], up.mu_empty[e], expert_rows(up.deltas, np.s_[:, e]))
+    return pairwise_semantics(
+        up.mu[:, e], up.mu_empty[:, e], expert_rows(up.deltas, np.s_[:, e])
+    )
 
 
 class TestPairwiseSemantics:

@@ -130,6 +130,8 @@ MUTANTS = [
         "omega-without-margin", "server.py",
         "_normalize(p_bar * margin, axis=0)", "_normalize(p_bar, axis=0)",
     ),
+    # A config option's check is its declaration.
+    Mutant("lr-unbounded", "harness.py", "lr: Positive = 0.2", "lr: float = 0.2"),
 ]
 
 
