@@ -1,7 +1,9 @@
 """Reference aggregators run under the identical harness: FedAvg and the
 FedProx proximal term. FedAvg is the server's aggregation kernel with
-dataset-size weights on every block; FedProx adds `prox_term`'s gradient
-inside the shared local_round."""
+dataset-size weights on every block. `prox_term` states the proximal loss
+and its gradient; the shared local_round adds that gradient on the flat
+buffer itself, anchored at the model the client starts from, and does not
+call it."""
 
 from __future__ import annotations
 

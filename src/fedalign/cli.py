@@ -62,9 +62,10 @@ def blocking_file(out) -> Path | None:
 
 
 def main(argv=None) -> int:
-    """Exit 0 on success, 2 on an invalid config (including a data partition
-    the config cannot produce), an output path that a file blocks, or a run
-    whose arrays do not fit in memory, 3 when training diverges."""
+    """Exit 0 on success, 2 on an invalid config (including data or a data
+    partition the config cannot produce), an output path that a file
+    blocks, or a run whose arrays do not fit in memory, 3 when training
+    diverges."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)

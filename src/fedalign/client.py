@@ -114,14 +114,14 @@ def local_round(
     rng: np.random.Generator,
     batch_size: int = 32,
     prox_mu: float = 0.0,
-    prox_ref: M.ModelParams | None = None,
 ) -> LocalRoundResult:
     """Run E epochs of mini-batch SGD on L_total, then compute the routing
     statistics in one evaluation pass with the final parameters.
 
     prox_mu > 0 adds the FedProx proximal gradient prox_mu * (theta -
-    prox_ref) to the gradient (FedProx client) and requires prox_ref. lr
-    may be 0, which degenerates to a pure evaluation pass with zero deltas.
+    params_in) to the gradient (FedProx client): the anchor is the model the
+    client starts from. lr may be 0, which degenerates to a pure evaluation
+    pass with zero deltas.
 
     Each epoch gathers the shard in its permuted order once and slices the
     mini-batches from it. The update is one operation on the parameters'
@@ -129,8 +129,6 @@ def local_round(
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    if prox_mu > 0.0 and prox_ref is None:
-        raise ValueError(f"prox_mu={prox_mu} > 0 requires prox_ref, the model to stay near")
     params = params_in.copy()
     theta = params.flat
 
@@ -145,7 +143,7 @@ def local_round(
                 raise FloatingPointError("non-finite training loss, aborting round")
             grad = M.backward(trace, params, lam=ctx.lam, reg_ctx=ctx).flat
             if prox_mu > 0.0:
-                grad += prox_mu * (theta - prox_ref.flat)
+                grad += prox_mu * (theta - params_in.flat)
             theta -= lr * grad
             params.check_finite()
 

@@ -137,14 +137,7 @@ class ExperimentConfig:
         return errors
 
     def model_config(self) -> M.MoEConfig:
-        return M.MoEConfig(
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            num_experts=self.num_experts,
-            top_k=self.top_k,
-            num_classes=self.num_classes,
-            expert_hidden=self.expert_hidden,
-        )
+        return M.MoEConfig(**{name: getattr(self, name) for name in MODEL_FIELDS})
 
     def ablated(self, flag: str) -> bool:
         return flag in self.ablations
@@ -232,19 +225,22 @@ def setup(cfg: ExperimentConfig) -> tuple[RunData, RoundState]:
     if errors:
         raise ConfigError(errors)
     n, s = cfg.num_clients, cfg.num_experts
-    try:  # an unlearnable task or an impossible partition is a config error
+    try:  # an unlearnable task, overflowing data or an impossible partition
         task = make_default_task(
             cfg.num_classes, cfg.input_dim, cfg.samples_per_class, cfg.noise_std,
             child_rng(cfg.seed, "task"), mean_scale=cfg.mean_scale,
         )
         train_x, train_y = generate(task, child_rng(cfg.seed, "data"))
+        test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
+        test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
+        if not (np.isfinite(train_x).all() and np.isfinite(test_x).all()):
+            raise ValueError(f"noise_std={cfg.noise_std} and mean_scale={cfg.mean_scale} "
+                             "give non-finite features")
         shards = dirichlet_partition(
             train_x, train_y, n, cfg.dirichlet_alpha, child_rng(cfg.seed, "partition")
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
-    test_task = replace(task, samples_per_class=cfg.test_samples_per_class)
-    test_x, test_y = generate(test_task, child_rng(cfg.seed, "test"))
     sizes = np.array([shard.size for shard in shards], dtype=np.float64)
     data = RunData(cfg.model_config(), shards, sizes / sizes.sum(), test_x, test_y)
     params = M.init_params(data.model_config, child_rng(cfg.seed, "init"))
@@ -253,8 +249,9 @@ def setup(cfg: ExperimentConfig) -> tuple[RunData, RoundState]:
 
 
 def client_start(cfg: ExperimentConfig, state: RoundState, i: int) -> M.ModelParams:
-    """Client i's model, in training and in the metrics: the global model,
-    with the client's own gate under no_gating_broadcast."""
+    """Client i's model, in training, as FedProx's anchor and in the
+    metrics: the global model, with the client's own gate under
+    no_gating_broadcast."""
     if cfg.ablated("no_gating_broadcast"):
         return replace(state.global_params, gate=state.gates[i])
     return state.global_params
@@ -300,7 +297,6 @@ def run_round(
                 data.model_config, start, shard, ctx, epochs=cfg.local_epochs, lr=cfg.lr,
                 rng=child_rng(cfg.seed, "client", i, "round", t), batch_size=cfg.batch_size,
                 prox_mu=cfg.prox_mu if cfg.method == "fedprox" else 0.0,
-                prox_ref=state.global_params if cfg.method == "fedprox" else None,
             )
         except FloatingPointError as exc:
             raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc

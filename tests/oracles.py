@@ -471,19 +471,19 @@ def sparse_backward(fwd, params, labels, k, lam=0.0, p_g=None, alpha=None):
 
 
 def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_size=32,
-                          prox_mu=0.0, prox_ref=None):
+                          prox_mu=0.0):
     """Reference for `client.local_round`: the per-block loop it replaced.
 
     Each step gathers its batch from the shard with two fancy-index lookups,
-    adds `baselines.prox_term`'s gradient block by block, updates each of
-    the seven blocks on its own and checks each for finite entries. The
-    model math is the package's `forward`/`backward`, and the statistics
-    come from the client's helpers. Returns a `LocalRoundResult`."""
+    adds the proximal gradient `prox_mu * (theta - params_in)` block by
+    block, updates each of the seven blocks on its own and checks each for
+    finite entries. The model math is the package's `forward`/`backward`,
+    and the statistics come from the client's helpers. Returns a
+    `LocalRoundResult`."""
     import numpy as np
 
     from fedalign import client as C
     from fedalign import model as M
-    from fedalign.baselines import prox_term
 
     blocks = M.ModelParams.BLOCKS
     params = M.ModelParams(*(getattr(params_in, b).copy() for b in blocks))
@@ -496,9 +496,11 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
             if loss is None or not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss, aborting round")
             grads = M.backward(trace, params, lam=ctx.lam, reg_ctx=ctx)
-            if prox_mu > 0.0 and prox_ref is not None:
-                prox = prox_term(params, prox_ref, prox_mu)[1]
-                grads = M.ModelParams(*(getattr(grads, b) + getattr(prox, b) for b in blocks))
+            if prox_mu > 0.0:
+                grads = M.ModelParams(*(
+                    getattr(grads, b) + prox_mu * (getattr(params, b) - getattr(params_in, b))
+                    for b in blocks
+                ))
             for b in blocks:
                 getattr(params, b)[...] -= lr * getattr(grads, b)
             for b in blocks:

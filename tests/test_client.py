@@ -277,14 +277,6 @@ class TestLocalRound:
         np.testing.assert_allclose(res.p_bar, compute_p_bar(trace), atol=1e-12)
         np.testing.assert_allclose(res.margin, compute_margin(trace), atol=1e-12)
 
-    def test_prox_mu_requires_prox_ref(self):
-        # Without a reference model the proximal term has nothing to pull
-        # toward; training plain SGD instead would hide the wiring mistake.
-        config, params, shard, ctx = make_setup()
-        with pytest.raises(ValueError, match=r"prox_mu=0\.1 > 0 requires prox_ref"):
-            local_round(config, params, shard, ctx, 1, 0.1, np.random.default_rng(0),
-                        prox_mu=0.1)
-
     def test_steps_form_the_kl_gradient_only(self, monkeypatch):
         # Each SGD step with lam > 0 takes the KL gradient and never the
         # values; the round forms those once, on the whole shard, for
@@ -427,10 +419,9 @@ class TestLocalRoundOracle:
         params.gate[...] *= gate_scale
         shard = ClientDataset(x, rng.integers(0, config.num_classes, size=n))
         ctx = RegContext(rng.dirichlet(np.ones(s)), lam, rng.uniform(size=s), k)
-        # A proximal reference apart from the start model, so the penalty
-        # pulls from the first step on.
-        kw = dict(epochs=2, lr=0.05, batch_size=batch_size, prox_mu=0.1 if prox else 0.0,
-                  prox_ref=init_params(config, rng) if prox else None)
+        # The proximal term anchors at the start model, so it pulls from
+        # the second step on.
+        kw = dict(epochs=2, lr=0.05, batch_size=batch_size, prox_mu=0.1 if prox else 0.0)
 
         try:
             want = oracles.local_round_per_block(

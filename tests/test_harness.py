@@ -140,12 +140,19 @@ class TestConfigValidation:
         # An option the run never reads is dead: a config field must be read
         # as `cfg.<field>` or `self.<field>`, and an ablation flag as an
         # `ablated("<flag>")` constant, in harness.py outside `validate`,
-        # which reads every field only to check it.
+        # which reads every field only to check it. The model dims are read
+        # by name, as MODEL_FIELDS, into `model_config()`, which the walk
+        # cannot see; each must arrive there with its own value.
+        cfg = ExperimentConfig(input_dim=5, hidden_dim=7, num_experts=6, top_k=2,
+                               num_classes=3, expert_hidden=9)
+        dims = {name: getattr(cfg, name) for name in harness.MODEL_FIELDS}
+        assert dataclasses.asdict(cfg.model_config()) == dims
+        assert len(set(dims.values())) == len(dims)
         tree = ast.parse(Path(harness.__file__).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "validate":
                 node.body = []
-        attrs, flags = set(), set()
+        attrs, flags = set(dims), set()
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in ("cfg", "self")):
@@ -155,6 +162,7 @@ class TestConfigValidation:
                     and isinstance(node.args[0], ast.Constant)):
                 flags.add(node.args[0].value)
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert "model_config" in attrs, "the model dims are never read"
         assert [f for f in fields if f not in attrs] == [], "fields harness.py never reads"
         assert [f for f in ABLATION_FLAGS if f not in flags] == [], "flags it never reads"
 
@@ -324,6 +332,23 @@ class TestRunRound:
         assert all(np.array_equal(a, b) for a, b in zip(before, inputs))
         assert record2 == record and report2.to_json_record() == report.to_json_record()
         assert np.array_equal(again.global_params.flat, nxt.global_params.flat)
+
+
+def test_fedprox_own_gate_round_reads_no_global_gate():
+    # Under no_gating_broadcast no client is sent the global gate, and
+    # FedProx anchors at the model each client starts from, so shifting
+    # the global gate moves no trained gate and no local accuracy.
+    cfg = tiny_config(num_clients=4, method="fedprox", prox_mu=0.5,
+                      ablations=("no_gating_broadcast",))
+    data, state = harness.setup(cfg)
+    g = state.global_params
+    shifted = dataclasses.replace(state, global_params=dataclasses.replace(g, gate=g.gate + 1.0))
+    nxt, record, _ = harness.run_round(cfg, data, state, 1)
+    moved, moved_record, _ = harness.run_round(cfg, data, shifted, 1)
+    assert not np.array_equal(moved.global_params.gate, nxt.global_params.gate)
+    assert np.array_equal(moved.gates, nxt.gates)
+    assert moved_record.local_accuracy_mean == record.local_accuracy_mean
+    assert moved_record.local_accuracy_std == record.local_accuracy_std
 
 
 class TestEmitMetrics:
@@ -560,6 +585,9 @@ class TestCliConfigFuzz:
         ('{"seed": 4294967296}', "seed"),
         ('{"num_clients": 1601}', "1600 training samples"),
         ('{"mean_scale": 1e-12, "rounds": 1}', "coincide"),
+        # Features that overflow to inf are the config's fault, not training's.
+        ('{"noise_std": 1e308, "rounds": 1, "num_clients": 3}', "noise_std"),
+        ('{"mean_scale": 1e308, "rounds": 1, "num_clients": 3}', "mean_scale"),
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, fragment):
         cfg_file = tmp_path / "cfg.json"
@@ -709,6 +737,7 @@ CLIENTS = np.array([2, 0, 3, 1])
 CLIENT_VARIANTS = {
     "fedavg": dict(method="fedavg"),
     "fedprox": dict(method="fedprox"),
+    "fedprox-own-gate": dict(method="fedprox", ablations=("no_gating_broadcast",)),
     "fedalign-lam0": dict(method="fedalign", lam=0.0),
     "fedalign": dict(method="fedalign"),
     **{flag: dict(method="fedalign", ablations=(flag,)) for flag in ABLATION_FLAGS},

@@ -132,6 +132,11 @@ MUTANTS = [
     ),
     # A config option's check is its declaration.
     Mutant("lr-unbounded", "harness.py", "lr: Positive = 0.2", "lr: float = 0.2"),
+    # FedProx pulls toward the model the client starts from.
+    Mutant(
+        "prox-without-anchor", "client.py",
+        "prox_mu * (theta - params_in.flat)", "prox_mu * theta",
+    ),
 ]
 
 
