@@ -36,8 +36,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError([f"unknown config field {k!r}" for k in unknown])
-    if isinstance(raw.get("ablations"), list):
-        raw["ablations"] = tuple(raw["ablations"])
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.method is not None:

@@ -4,6 +4,7 @@ and the parameter update the server aggregates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,16 @@ class RegContext:
         self.ref = M.top_k_select(p_g, self.top_k)
 
 
-@dataclass
-class LocalRoundResult:
+@dataclass(frozen=True)
+class Uploads:
+    """What clients send the server: the update and its routing statistics.
+
+    One client's record, `local_round`'s return, has the shapes below. A
+    round's record (`empty`) leads each field with the client axis N and
+    lays `param_delta` over one (N, P) buffer; `uploads[idx] = rows` writes
+    rows idx, an int or an index array, of every field. Each field is its
+    own array: keeping `p_bar` for the next round frees the rest."""
+
     param_delta: M.ModelParams  # new - start for every block: the client update
     p_bar: np.ndarray  # (S,) mean top-k routing mass
     margin: np.ndarray  # (S,) mean top-1 decision margin
@@ -48,6 +57,19 @@ class LocalRoundResult:
     mu_empty: np.ndarray  # (S,) bool, True where no sample argmaxed to e
     mean_local_loss: float
     mean_reg_loss: float
+
+    @classmethod
+    def empty(cls, n: int, config: M.MoEConfig) -> "Uploads":
+        """A round's record for n clients, not yet written."""
+        s, size = config.num_experts, sum(map(math.prod, config.shapes))
+        delta = M.ModelParams.from_flat(np.empty((n, size)), config.shapes)
+        stats = np.empty((n, s)), np.empty((n, s)), np.empty((n, s, config.hidden_dim))
+        return cls(delta, *stats, np.empty((n, s), dtype=bool), np.empty(n), np.empty(n))
+
+    def __setitem__(self, idx, rows: "Uploads"):
+        self.param_delta.flat[idx] = rows.param_delta.flat
+        for name in ("p_bar", "margin", "mu", "mu_empty", "mean_local_loss", "mean_reg_loss"):
+            getattr(self, name)[idx] = getattr(rows, name)
 
 
 def compute_p_bar(trace: M.ForwardTrace) -> np.ndarray:
@@ -114,7 +136,7 @@ def local_round(
     rng: np.random.Generator,
     batch_size: int = 32,
     prox_mu: float = 0.0,
-) -> LocalRoundResult:
+) -> Uploads:
     """Run E epochs of mini-batch SGD on L_total, then compute the routing
     statistics in one evaluation pass with the final parameters.
 
@@ -149,15 +171,9 @@ def local_round(
 
     # Statistics reflect the final model: one pass over the whole shard.
     trace, mean_local = M.forward(config, params, shard.features, shard.labels)
-    mean_reg = reg_loss(trace, ctx)
     mu, empty = compute_mu(trace)
-    param_delta = M.ModelParams.from_flat(theta - params_in.flat, params.shapes)
-    return LocalRoundResult(
-        param_delta=param_delta,
-        p_bar=compute_p_bar(trace),
-        margin=compute_margin(trace),
-        mu=mu,
-        mu_empty=empty,
-        mean_local_loss=mean_local,
-        mean_reg_loss=mean_reg,
+    return Uploads(
+        param_delta=M.ModelParams.from_flat(theta - params_in.flat, params.shapes),
+        p_bar=compute_p_bar(trace), margin=compute_margin(trace), mu=mu, mu_empty=empty,
+        mean_local_loss=mean_local, mean_reg_loss=reg_loss(trace, ctx),
     )

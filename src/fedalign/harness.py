@@ -96,6 +96,10 @@ class ExperimentConfig:
     ablations: tuple[str, ...] = ()
     fixed_tau: float | None = None
 
+    def __post_init__(self):
+        if isinstance(self.ablations, list):  # from JSON or Python; a string still fails
+            object.__setattr__(self, "ablations", tuple(self.ablations))
+
     def validate(self) -> list[str]:
         errors = []
         if self.method not in METHODS:
@@ -282,13 +286,8 @@ def run_round(
         alpha = C.compute_alpha(state.prev_p_bar * state.prev_p_bar.mean(axis=0), cfg.eta)
     else:
         alpha = np.ones((n, s))
-    # Row i of every upload is client i's; each block of `deltas` leads with N.
-    shapes = state.global_params.shapes
-    deltas = M.ModelParams.from_flat(np.empty((n, state.global_params.flat.size)), shapes)
-    gates = np.empty_like(deltas.gate)
-    p_bar, margin = np.empty((n, s)), np.empty((n, s))
-    mu, mu_empty = np.empty((n, s, cfg.hidden_dim)), np.empty((n, s), dtype=bool)
-    local_loss, reg_loss = np.empty(n), np.empty(n)
+    uploads = C.Uploads.empty(n, data.model_config)
+    gates = np.empty_like(uploads.param_delta.gate)
     for i, shard in enumerate(data.shards):
         start = client_start(cfg, state, i)
         ctx = C.RegContext(state.p_g, cfg.lam if is_align else 0.0, alpha[i], cfg.top_k)
@@ -300,19 +299,18 @@ def run_round(
             )
         except FloatingPointError as exc:
             raise FloatingPointError(f"round {t}, client {i}: {exc}") from exc
-        deltas.flat[i] = res.param_delta.flat
+        uploads[i] = res
         gates[i] = start.gate + res.param_delta.gate
-        p_bar[i], margin[i], local_loss[i] = res.p_bar, res.margin, res.mean_local_loss
-        mu[i], mu_empty[i], reg_loss[i] = res.mu, res.mu_empty, res.mean_reg_loss
 
     global_params, p_g, report = S.aggregate_round(
-        state.global_params, deltas, p_bar, margin, mu, mu_empty, data.size_weights, t,
+        state.global_params, uploads, data.size_weights, t,
         beta=cfg.beta,
         fixed_tau=cfg.fixed_tau,
         consistency=is_align and not cfg.ablated("no_consistency_weighting"),
         semantic_weights=is_align and not cfg.ablated("uniform_gamma"),
         direction=not cfg.ablated("no_direction_consensus"),
     )
+    p_bar = uploads.p_bar
     nxt = RoundState(global_params, gates, p_g, p_bar)
     post_p_bar, local_accs = shard_routing(cfg, data, nxt)
     record = RoundRecord(
@@ -320,8 +318,8 @@ def run_round(
         global_accuracy=evaluate(data.model_config, global_params, data.test_x, data.test_y),
         local_accuracy_mean=float(np.mean(local_accs)),
         local_accuracy_std=float(np.std(local_accs)),
-        mean_local_loss=float(np.mean(local_loss)),
-        mean_reg_loss=float(np.mean(reg_loss)),
+        mean_local_loss=float(np.mean(uploads.mean_local_loss)),
+        mean_reg_loss=float(np.mean(uploads.mean_reg_loss)),
         routing_disagreement_pre=float(total_variation(p_bar, p_g).mean()),
         routing_disagreement_post=float(total_variation(post_p_bar, p_g).mean()),
         routing_spread_pre=float(total_variation(p_bar, p_bar.mean(axis=0)).mean()),

@@ -2,10 +2,9 @@
 global routing reference, semantic-aware expert aggregation with adaptive
 thresholds, and size-weighted averaging for the remaining blocks.
 
-Every input leads with one client axis of length N, in client-id order, so
-`[:, e]` reads expert e of every client: the routing masses and margins
-(N, S), the mu rows (N, S, H) and flags (N, S), and the deltas, one
-`ModelParams` whose blocks lead with N. Semantic gating takes one expert
+The round reads the clients' uploads as one `client.Uploads`, whose
+fields lead with one client axis of length N, in client-id order, so
+`[:, e]` reads expert e of every client. Semantic gating takes one expert
 at a time: (N, H) mu rows, (N, P) update rows and (N, N) similarity,
 consensus and gate; only gamma's (S, N) row sums reach `expert_weights`.
 Every block is aggregated by the one kernel `weighted_average`, which
@@ -169,24 +168,24 @@ def aggregate_experts(
 
 
 def aggregate_round(
-    global_params, deltas, p_bar, margin, mu, mu_empty, size_weights, round_index, *,
+    global_params, uploads, size_weights, round_index, *,
     beta, fixed_tau=None, consistency=True, semantic_weights=True, direction=True,
 ) -> tuple[M.ModelParams, np.ndarray, AggregationReport]:
-    """The server's round from the stacked uploads (p_bar and margin (N, S),
-    mu (N, S, H), mu_empty (N, S), deltas): the new global model, p_g (S,)
-    and the report. p_g is `global_routing(p_bar, omega)` for every method;
-    without `consistency` omega is uniform 1/N, so p_g is the renormalized
-    mean p_bar. `fixed_tau` replaces every adaptive tau, `direction=False`
-    drops D, and without `semantic_weights` every expert is size-weighted
-    and updated."""
+    """The server's round from a round's `client.Uploads`: the new global
+    model, p_g (S,) and the report. p_g is `global_routing(p_bar, omega)`
+    for every method; without `consistency` omega is uniform 1/N, so p_g is
+    the renormalized mean p_bar. `fixed_tau` replaces every adaptive tau,
+    `direction=False` drops D, and without `semantic_weights` every expert
+    is size-weighted and updated."""
+    deltas, p_bar = uploads.param_delta, uploads.p_bar
     n, s = p_bar.shape
-    omega = consistency_weights(p_bar, margin) if consistency else np.full((n, s), 1.0 / n)
+    omega = consistency_weights(p_bar, uploads.margin) if consistency else np.full((n, s), 1.0 / n)
     p_g = global_routing(p_bar, omega)
 
     tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
     for e in range(s):
         sim, dcons = pairwise_semantics(
-            mu[:, e], mu_empty[:, e], M.expert_rows(deltas, np.s_[:, e])
+            uploads.mu[:, e], uploads.mu_empty[:, e], M.expert_rows(deltas, np.s_[:, e])
         )
         tau[e], mean_sim[e], disp[e] = adaptive_threshold(sim, beta)
         if fixed_tau is not None:

@@ -1,17 +1,17 @@
 """Test tools: builders for client updates (a `ModelParams` of deltas made
-from per-expert rows, and the model a delta leads to), a container for one
-client's routing statistics and the stacked arrays the server takes from
-per-client uploads, a zero model to aggregate a round onto, row scales
-around NORM_FLOOR for property tests, the `np.longdouble` conversion for
-80-bit references and the cosine's rounding bound, a plain softmax for
-building inputs, a model whose gate scores are its inputs and `forward`'s
-routing softmax on it, and the central finite-difference gradient checker."""
+from per-expert rows, and the model a delta leads to), for one client's
+`client.Uploads` and for a round's, stacked from the clients' records, a
+zero model to aggregate a round onto, row scales around NORM_FLOOR for
+property tests, the `np.longdouble` conversion for 80-bit references and
+the cosine's rounding bound, a plain softmax for building inputs, a model
+whose gate scores are its inputs and `forward`'s routing softmax on it,
+and the central finite-difference gradient checker."""
 
-from collections import namedtuple
-from types import SimpleNamespace
+from dataclasses import fields
 
 import numpy as np
 
+from fedalign.client import Uploads
 from fedalign.model import MoEConfig, ModelParams, forward
 from fedalign.numeric import NORM_FLOOR
 
@@ -67,29 +67,25 @@ def expert_delta(rows, like=None):
     return out
 
 
-# One client's routing statistics, with the fields `client.LocalRoundResult`
-# reports them under: p_bar and margin (S,), mu (S, H), mu_empty (S,) bool.
-Stats = namedtuple("Stats", "p_bar margin mu mu_empty")
+def upload(delta, p_bar, margin, mu, mu_empty=None):
+    """One client's `client.Uploads` with zero losses; mu_empty defaults to
+    all False."""
+    p_bar = np.asarray(p_bar, dtype=np.float64)
+    empty = np.zeros(p_bar.shape, bool) if mu_empty is None else np.asarray(mu_empty, bool)
+    return Uploads(delta, p_bar, np.asarray(margin, dtype=np.float64),
+                   np.asarray(mu, dtype=np.float64), empty, 0.0, 0.0)
 
 
-def stack_uploads(stats, deltas=()):
-    """Per-client uploads as the server takes them, on one client axis.
+def stack_uploads(rows):
+    """A round's `client.Uploads`: row i of every field is rows[i]'s."""
+    stacked = (np.stack([getattr(r, f.name) for r in rows]) for f in fields(Uploads)[1:])
+    return Uploads(stack_deltas([r.param_delta for r in rows]), *stacked)
 
-    From the `Stats`: p_bar and margin (N, S), mu (N, S, H) and
-    mu_empty (N, S). From the update `ModelParams`: deltas, one `ModelParams`
-    whose blocks lead with N. An empty list leaves its side None.
-    """
-    up = SimpleNamespace(p_bar=None, margin=None, mu=None, mu_empty=None, deltas=None)
-    if len(stats):
-        up.p_bar = np.stack([st.p_bar for st in stats])
-        up.margin = np.stack([st.margin for st in stats])
-        up.mu = np.stack([st.mu for st in stats])
-        up.mu_empty = np.stack([st.mu_empty for st in stats])
-    if len(deltas):
-        up.deltas = ModelParams(
-            *(np.stack([getattr(d, b) for d in deltas]) for b in ModelParams.BLOCKS)
-        )
-    return up
+
+def stack_deltas(deltas):
+    """Client updates on one client axis: a `ModelParams` whose blocks lead
+    with N."""
+    return ModelParams.from_flat(np.stack([d.flat for d in deltas]), deltas[0].shapes)
 
 
 def zero_model(deltas):

@@ -232,31 +232,31 @@ def cosine_sim_scalar(a, b):
     return np.clip(a @ b / (na * nb), -1.0, 1.0)
 
 
-def pairwise_semantics_loop(stats, deltas):
+def pairwise_semantics_loop(mu, mu_empty, deltas):
     """Reference for `server.pairwise_semantics`: the double loop over client
     pairs i <= j, one `cosine_sim_scalar` call per pair and quantity, both
     entries set to 0 where either client's mu is empty or update row has
-    norm below 1e-12. Computed in the dtype of the mu rows and update
+    norm below 1e-12. Takes mu (N, S, H), mu_empty (N, S) and the N
+    clients' updates. Computed in the dtype of the mu rows and update
     blocks, at least float64; `deltas` need only carry the four expert
     blocks, so both may be `np.longdouble`."""
     import numpy as np
 
-    n = len(stats)
-    s = stats[0].p_bar.size
+    n, s = mu_empty.shape
     flats = [flat_expert_rows(d) for d in deltas]
-    dtype = np.result_type(stats[0].mu, flats[0], np.float64)
+    dtype = np.result_type(mu, flats[0], np.float64)
     sim = np.zeros((s, n, n), dtype=dtype)
     dcons = np.zeros((s, n, n), dtype=dtype)
     for e in range(s):
         rows = [f[e] for f in flats]
         valid = [
-            not stats[i].mu_empty[e] and np.linalg.norm(rows[i]) >= NORM_FLOOR
+            not mu_empty[i, e] and np.linalg.norm(rows[i]) >= NORM_FLOOR
             for i in range(n)
         ]
         for i in range(n):
             for j in range(i, n):
                 if valid[i] and valid[j]:
-                    sv = cosine_sim_scalar(stats[i].mu[e], stats[j].mu[e])
+                    sv = cosine_sim_scalar(mu[i, e], mu[j, e])
                     dv = cosine_sim_scalar(rows[i], rows[j])
                     sim[e, i, j] = sim[e, j, i] = sv
                     dcons[e, i, j] = dcons[e, j, i] = dv
@@ -478,8 +478,8 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
     adds the proximal gradient `prox_mu * (theta - params_in)` block by
     block, updates each of the seven blocks on its own and checks each for
     finite entries. The model math is the package's `forward`/`backward`,
-    and the statistics come from the client's helpers. Returns a
-    `LocalRoundResult`."""
+    and the statistics come from the client's helpers. Returns one client's
+    `client.Uploads`."""
     import numpy as np
 
     from fedalign import client as C
@@ -509,7 +509,7 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
 
     trace, mean_local = M.forward(config, params, shard.features, shard.labels)
     mu, empty = C.compute_mu(trace)
-    return C.LocalRoundResult(
+    return C.Uploads(
         param_delta=M.ModelParams(
             *(getattr(params, b) - getattr(params_in, b) for b in blocks)
         ),

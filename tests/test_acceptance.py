@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import Stats, expert_delta, gate_softmax, grad_check, stack_uploads, zero_model
+from helpers import expert_delta, gate_softmax, grad_check, stack_uploads, upload, zero_model
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -144,12 +144,9 @@ def test_criterion_2_formula_oracles(report):
     checks.append(abs(C.compute_alpha(np.array([0.1 + math.log(3)]), 0.1)[0]
                       - oracles.SIGMOID_LN3) < 1e-9)
 
-    def stats(p_bar, margin):
-        return Stats(np.asarray(p_bar, float), np.asarray(margin, float),
-                     np.ones((2, 2)), np.zeros(2, bool))
-
-    up = stack_uploads([stats([0.6, 0.4], [0.3, 0.1]), stats([0.2, 0.8], [0.1, 0.1])])
-    omega = S.consistency_weights(up.p_bar, up.margin)
+    omega = S.consistency_weights(
+        np.array([[0.6, 0.4], [0.2, 0.8]]), np.array([[0.3, 0.1], [0.1, 0.1]])
+    )
     checks.append(np.allclose(omega[:, 0], oracles.OMEGA_TWO_CLIENTS, atol=1e-9))
     tau, mean_sim, disp = S.adaptive_threshold(np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0)
     checks.append(
@@ -206,15 +203,9 @@ def test_criterion_4_homogeneity_fixed_point(report):
         margin = rng.uniform(0.05, 0.3, s)
         mu = rng.normal(size=(s, 3))
         d = rng.normal(size=(s, p))
-        stats = [
-            Stats(p_bar.copy(), margin.copy(), mu.copy(), np.zeros(s, bool))
-            for _ in range(n)
-        ]
-        deltas = [expert_delta(d) for _ in range(n)]
-        up = stack_uploads(stats, deltas)
+        up = stack_uploads([upload(expert_delta(d), p_bar, margin, mu) for _ in range(n)])
         new, p_g, rep = S.aggregate_round(
-            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
-            np.full(n, 1.0 / n), 1, beta=0.5,
+            zero_model(up.param_delta), up, np.full(n, 1.0 / n), 1, beta=0.5
         )
         # From a zero model the new expert rows are the aggregated update; an
         # expert left not updated would keep zero rows, a deviation of |d|.
@@ -234,19 +225,17 @@ def test_criterion_5_permutation_equivariance(report):
     n, s, p = 6, 4, 9
 
     def draw_stats():
-        st = Stats(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s),
-                   rng.normal(size=(s, 3)), np.zeros(s, bool))
+        st = rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s), rng.normal(size=(s, 3))
         rng.integers(5, 20)  # drawn and dropped, so every later draw keeps its value
         return st
 
     stats = [draw_stats() for _ in range(n)]
-    deltas = [expert_delta(rng.normal(size=(s, p))) for _ in range(n)]
+    rows = [upload(expert_delta(rng.normal(size=(s, p))), *st) for st in stats]
 
     def pipeline(order):
-        up = stack_uploads([stats[i] for i in order], [deltas[i] for i in order])
+        up = stack_uploads([rows[i] for i in order])
         new, p_g, rep = S.aggregate_round(
-            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
-            np.full(n, 1.0 / n), 1, beta=0.5,
+            zero_model(up.param_delta), up, np.full(n, 1.0 / n), 1, beta=0.5
         )
         # Per-client columns back in original client-id order.
         inv = np.argsort(order)

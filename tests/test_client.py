@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from helpers import apply_delta, gate_model, softmax
+from helpers import apply_delta, gate_model, softmax, stack_uploads
 from fedalign.client import (
     RegContext,
+    Uploads,
     compute_alpha,
     compute_margin,
     compute_mu,
@@ -378,6 +379,37 @@ class TestLocalRound:
         config, params, shard, ctx = make_setup()
         with pytest.raises(ValueError):
             local_round(config, params, shard, ctx, 1, -0.1, np.random.default_rng(0))
+
+
+class TestUploads:
+    """A round's `Uploads`: every field leads with the client axis, and an
+    index array writes a group's rows as single-row writes do."""
+
+    def test_group_write_matches_single_writes(self):
+        config, params, _, ctx = make_setup(k=2)
+        rng = np.random.default_rng(7)
+        rows = [
+            local_round(config, params, ClientDataset(rng.normal(size=(n, 4)),
+                                                      rng.integers(0, 3, size=n)),
+                        ctx, 1, 0.1, np.random.default_rng(i), batch_size=8)
+            for i, n in enumerate((5, 12, 9))
+        ]
+        single, grouped = Uploads.empty(3, config), Uploads.empty(3, config)
+        for i in (2, 0, 1):
+            single[i] = rows[i]
+        grouped[[2, 0]] = stack_uploads([rows[2], rows[0]])
+        grouped[1] = rows[1]
+        for b in ModelParams.BLOCKS:
+            assert getattr(grouped.param_delta, b).tobytes() == \
+                getattr(single.param_delta, b).tobytes(), b
+            for i, row in enumerate(rows):
+                assert np.array_equal(getattr(single.param_delta, b)[i],
+                                      getattr(row.param_delta, b)), b
+        for name in ("p_bar", "margin", "mu", "mu_empty", "mean_local_loss", "mean_reg_loss"):
+            got, want = getattr(grouped, name), getattr(single, name)
+            assert got.shape[0] == 3 and got.tobytes() == want.tobytes(), name
+            assert np.array_equal(want, [getattr(row, name) for row in rows]), name
+            assert not np.shares_memory(want, single.param_delta.flat), name
 
 
 class TestLocalRoundOracle:

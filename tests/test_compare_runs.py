@@ -1,10 +1,11 @@
 """The comparison runs of `tools/compare_runs.py`: distinct valid configs
-that cover every method, every ablation flag, the fixed threshold and the
-benchmark's workloads; the checkpoint blocks it compares; and the two
-accuracy readouts it prints."""
+that cover every pair of values of the method, the ablation flags and the
+fixed threshold, and the benchmark's workloads; the checkpoint blocks it
+compares; and the two accuracy readouts it prints."""
 
 import ast
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -23,19 +24,30 @@ def load_tool():
     return module
 
 
-def config(fields):
-    return ExperimentConfig(**{**fields, "ablations": tuple(fields.get("ablations", ()))})
-
-
 def test_runs_are_33_distinct_valid_configs():
     runs = load_tool().comparison_runs()
-    configs = [config(fields) for _, fields in runs]
+    configs = [ExperimentConfig(**fields) for _, fields in runs]
     assert len(runs) == 33
     assert len({name for name, _ in runs}) == 33 and len(set(configs)) == 33
     assert all(cfg.validate() == [] for cfg in configs)
     assert {cfg.method for cfg in configs} == set(METHODS)
     assert {flag for cfg in configs for flag in cfg.ablations} == set(ABLATION_FLAGS)
     assert any(cfg.fixed_tau is not None for cfg in configs)
+
+
+def test_pairwise_rows_cover_every_pair_of_factor_values():
+    tool = load_tool()
+    assert tool.METHODS == METHODS and tool.ABLATION_FLAGS == ABLATION_FLAGS
+    configs = [ExperimentConfig(**f) for name, f in tool.VARIANTS.items()
+               if name.startswith("pairs")]
+    assert len(configs) == len(tool.PAIRWISE) and all(cfg.top_k == 2 for cfg in configs)
+    # Each run's factor values, read back from its config.
+    rows = [(cfg.method, *(cfg.ablated(f) for f in ABLATION_FLAGS), cfg.fixed_tau)
+            for cfg in configs]
+    levels = [METHODS, *[(False, True)] * len(ABLATION_FLAGS), tool.FIXED_TAUS]
+    for a, b in itertools.combinations(range(len(levels)), 2):
+        pairs = {(row[a], row[b]) for row in rows}
+        assert pairs == set(itertools.product(levels[a], levels[b])), (a, b)
 
 
 def test_workloads_are_the_benchmark_workloads():

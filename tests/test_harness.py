@@ -24,6 +24,7 @@ from helpers import apply_delta
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import harness
+from fedalign import server as S
 from fedalign.cli import main as cli_main
 from fedalign.data import generate, make_default_task
 from fedalign.harness import (
@@ -135,6 +136,13 @@ class TestConfigValidation:
 
     def test_ablations_must_be_a_tuple(self):
         assert any("ablations" in e for e in ExperimentConfig(ablations="uniform_gamma").validate())
+
+    def test_ablations_list_from_python_is_accepted(self):
+        # A list becomes a tuple, as the CLI's JSON lists do; a string still
+        # fails (above).
+        cfg = ExperimentConfig(ablations=["uniform_gamma", "no_adaptive_alpha"])
+        assert cfg.ablations == ("uniform_gamma", "no_adaptive_alpha")
+        assert cfg.validate() == [] and hash(cfg) == hash(dataclasses.replace(cfg))
 
     def test_every_option_is_read(self):
         # An option the run never reads is dead: a config field must be read
@@ -349,6 +357,100 @@ def test_fedprox_own_gate_round_reads_no_global_gate():
     assert np.array_equal(moved.gates, nxt.gates)
     assert moved_record.local_accuracy_mean == record.local_accuracy_mean
     assert moved_record.local_accuracy_std == record.local_accuracy_std
+
+
+def whole_run(cfg):
+    """Every round of `cfg` from `setup` as (start state, next state,
+    record, report), or the `ConfigError` or `FloatingPointError` raised.
+    Overflow warnings are off, as in `cli.main`."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            data, state = harness.setup(cfg)
+            rounds = []
+            for t in range(1, cfg.rounds + 1):
+                nxt, record, report = harness.run_round(cfg, data, state, t)
+                rounds.append((state, nxt, record, report))
+                state = nxt
+        return rounds
+    except (ConfigError, FloatingPointError) as exc:
+        return exc
+
+
+class TestWholeRunProperties:
+    """Whole runs over small valid configs, with N = 1, S = 1, k = S, B = 1
+    and one-row shards among them: a run ends or raises `ConfigError` or
+    `FloatingPointError`, twice the same; omega's columns and p_g are
+    distributions; a not-updated expert keeps its bytes; tau is
+    M - beta * Sigma unless fixed; every record field is finite."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(harness.METHODS),
+        ablations=st.lists(st.sampled_from(ABLATION_FLAGS), unique=True),
+        fixed_tau=st.none() | st.floats(-1.0, 1.0),
+        n=st.integers(1, 6),
+        s=st.integers(1, 5),
+        k_frac=st.floats(0.0, 1.0),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        classes=st.integers(1, 3),
+        per_class=st.integers(1, 8),
+        batch_size=st.integers(1, 20),
+        epochs=st.integers(1, 2),
+        rounds=st.integers(1, 3),
+        rates=st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        beta=st.floats(0.0, 2.0),
+        alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    )
+    # One client and one expert; k = S with one-row batches; shards of 1, 1
+    # and 2 rows; and a step size that diverges in round 1.
+    @example(seed=0, method="fedalign", ablations=(), fixed_tau=None, n=1, s=1, k_frac=0.0,
+             dims=(2, 2, 2), classes=2, per_class=3, batch_size=32, epochs=1, rounds=2,
+             rates=(0.2, 0.1, 0.01), beta=0.5, alpha=1.0)
+    @example(seed=1, method="fedprox", ablations=("no_gating_broadcast",), fixed_tau=None,
+             n=3, s=3, k_frac=1.0, dims=(2, 3, 2), classes=2, per_class=4, batch_size=1,
+             epochs=1, rounds=2, rates=(0.2, 0.0, 0.5), beta=0.5, alpha=1.0)
+    @example(seed=2, method="fedalign", ablations=(), fixed_tau=0.5, n=3, s=2, k_frac=0.5,
+             dims=(2, 2, 2), classes=2, per_class=2, batch_size=2, epochs=2, rounds=2,
+             rates=(0.5, 0.3, 0.01), beta=1.0, alpha=1.0)
+    @example(seed=4, method="fedalign", ablations=(), fixed_tau=None, n=2, s=2, k_frac=0.0,
+             dims=(2, 2, 2), classes=2, per_class=3, batch_size=2, epochs=2, rounds=2,
+             rates=(1e150, 0.1, 0.01), beta=0.5, alpha=1.0)
+    def test_run_holds_its_invariants(self, seed, method, ablations, fixed_tau, n, s, k_frac,
+                                      dims, classes, per_class, batch_size, epochs, rounds,
+                                      rates, beta, alpha):
+        cfg = ExperimentConfig(
+            method=method, input_dim=dims[0], hidden_dim=dims[1], num_experts=s,
+            top_k=1 + min(s - 1, int(k_frac * s)), num_classes=classes,
+            expert_hidden=dims[2], samples_per_class=per_class, test_samples_per_class=2,
+            num_clients=n, rounds=rounds, local_epochs=epochs, lr=rates[0],
+            batch_size=batch_size, dirichlet_alpha=alpha, lam=rates[1], prox_mu=rates[2],
+            beta=beta, seed=seed, ablations=ablations, fixed_tau=fixed_tau,
+        )
+        first, again = whole_run(cfg), whole_run(cfg)
+        if isinstance(first, Exception):
+            assert type(again) is type(first) and str(again) == str(first)
+            return
+        semantic = method == "fedalign" and not cfg.ablated("uniform_gamma")
+        for (state, nxt, record, report), (_, nxt2, record2, report2) in zip(first, again):
+            assert record.to_json() == record2.to_json()
+            assert report.to_json_record() == report2.to_json_record()
+            for a, b in ((nxt.global_params.flat, nxt2.global_params.flat),
+                         (nxt.gates, nxt2.gates), (nxt.p_g, nxt2.p_g),
+                         (nxt.prev_p_bar, nxt2.prev_p_bar)):
+                assert a.tobytes() == b.tobytes()
+
+            assert np.all(np.abs(report.omega.sum(axis=0) - 1.0) <= 1e-12)
+            assert np.all(nxt.p_g >= 0.0) and abs(nxt.p_g.sum() - 1.0) <= 1e-12
+            updated = S.expert_weights(report.gamma_row_sums)[1] if semantic else np.ones(s, bool)
+            for b in M.EXPERT_BLOCKS:
+                old, new = getattr(state.global_params, b), getattr(nxt.global_params, b)
+                assert new[~updated].tobytes() == old[~updated].tobytes(), b
+            if fixed_tau is None:
+                assert np.array_equal(report.tau, report.mean_sim - beta * report.dispersion)
+            else:
+                assert np.all(report.tau == fixed_tau)
+            assert all(math.isfinite(v) for v in dataclasses.asdict(record).values())
 
 
 class TestEmitMetrics:

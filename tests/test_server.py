@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import oracles
 from helpers import (
     NORM_SCALES,
-    Stats,
     cosine_error_bound,
     expert_delta,
     extended,
+    stack_deltas,
     stack_uploads,
+    upload,
     zero_model,
 )
 from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_rows, init_params
@@ -35,65 +36,40 @@ from fedalign.server import (
 )
 
 
-def make_stats(p_bar, margin, mu=None, mu_empty=None):
-    p_bar = np.asarray(p_bar, dtype=np.float64)
-    s = p_bar.size
-    if mu is None:
-        mu = np.ones((s, 2))
-    if mu_empty is None:
-        mu_empty = np.zeros(s, dtype=bool)
-    return Stats(
-        p_bar=p_bar,
-        margin=np.asarray(margin, dtype=np.float64),
-        mu=np.asarray(mu, dtype=np.float64),
-        mu_empty=np.asarray(mu_empty, dtype=bool),
-    )
-
-
 class TestConsistencyWeights:
     def test_identical_clients_uniform(self):
-        st = [make_stats([0.6, 0.4], [0.3, 0.2]) for _ in range(4)]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
+        omega = consistency_weights(np.tile([0.6, 0.4], (4, 1)), np.tile([0.3, 0.2], (4, 1)))
         np.testing.assert_allclose(omega, 0.25, atol=1e-9)
 
     def test_zero_mass_client_excluded(self):
-        st = [
-            make_stats([0.0, 1.0], [0.0, 0.5]),
-            make_stats([0.6, 0.4], [0.3, 0.2]),
-        ]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
+        omega = consistency_weights(
+            np.array([[0.0, 1.0], [0.6, 0.4]]), np.array([[0.0, 0.5], [0.3, 0.2]])
+        )
         assert omega[0, 0] == 0.0
         assert abs(omega[1, 0] - 1.0) < 1e-9
 
     def test_hand_example(self):
         # Expert 0 carries the worked two-client example; expert 1 is inert.
-        st = [
-            make_stats([0.6, 0.4], [0.3, 0.1]),
-            make_stats([0.2, 0.8], [0.1, 0.1]),
-        ]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
+        omega = consistency_weights(
+            np.array([[0.6, 0.4], [0.2, 0.8]]), np.array([[0.3, 0.1], [0.1, 0.1]])
+        )
         np.testing.assert_allclose(
             omega[:, 0], oracles.OMEGA_TWO_CLIENTS, atol=1e-9
         )
 
     def test_columns_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        st = [
-            make_stats(rng.dirichlet(np.ones(4)), rng.uniform(0.05, 0.4, 4))
-            for _ in range(5)
-        ]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
+        omega = consistency_weights(*random_routing(np.random.default_rng(0), 5, 4))
         np.testing.assert_allclose(omega.sum(axis=0), 1.0, atol=1e-9)
 
     def test_all_zero_column_falls_back_uniform(self):
-        st = [make_stats([0.0, 1.0], [0.0, 0.5]) for _ in range(4)]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
+        omega = consistency_weights(np.tile([0.0, 1.0], (4, 1)), np.tile([0.0, 0.5], (4, 1)))
         np.testing.assert_allclose(omega[:, 0], 0.25, atol=1e-12)
+
+
+def random_routing(rng, n, s):
+    """n clients' p_bar and margin (n, s), drawn client by client."""
+    draws = [(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.4, s)) for _ in range(n)]
+    return tuple(np.stack(q) for q in zip(*draws))
 
 
 def scale_to_floor(p_bar, margin, e, factor):
@@ -178,14 +154,13 @@ class TestAggregateRoundRouting:
         rng = np.random.default_rng(seed)
         n, s, p = 5, 3, 6
         stats = [
-            make_stats(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s),
-                       mu=rng.normal(size=(s, 2)))
+            (rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s), rng.normal(size=(s, 2)))
             for _ in range(n)
         ]
-        up = stack_uploads(stats, [expert_delta(rng.normal(size=(s, p))) for _ in range(n)])
+        up = stack_uploads([upload(expert_delta(rng.normal(size=(s, p))), *st) for st in stats])
         _, p_g, rep = aggregate_round(
-            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
-            np.full(n, 1.0 / n), 1, beta=0.5, consistency=consistency,
+            zero_model(up.param_delta), up, np.full(n, 1.0 / n), 1, beta=0.5,
+            consistency=consistency,
         )
         return up, p_g, rep.omega
 
@@ -207,53 +182,41 @@ class TestAggregateRoundRouting:
 
 class TestGlobalRouting:
     def test_single_client(self):
-        st = [make_stats([0.7, 0.3], [0.2, 0.1])]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
-        np.testing.assert_allclose(global_routing(up.p_bar, omega), [0.7, 0.3], atol=1e-9)
+        p_bar, margin = np.array([[0.7, 0.3]]), np.array([[0.2, 0.1]])
+        omega = consistency_weights(p_bar, margin)
+        np.testing.assert_allclose(global_routing(p_bar, omega), [0.7, 0.3], atol=1e-9)
 
     def test_identical_clients(self):
-        st = [make_stats([0.7, 0.3], [0.2, 0.1]) for _ in range(3)]
-        up = stack_uploads(st)
-        omega = consistency_weights(up.p_bar, up.margin)
-        np.testing.assert_allclose(global_routing(up.p_bar, omega), [0.7, 0.3], atol=1e-9)
+        p_bar, margin = np.tile([0.7, 0.3], (3, 1)), np.tile([0.2, 0.1], (3, 1))
+        omega = consistency_weights(p_bar, margin)
+        np.testing.assert_allclose(global_routing(p_bar, omega), [0.7, 0.3], atol=1e-9)
 
     def test_renormalization(self):
         # Force raw = (0.3, 0.1) via one client with omega 1.
-        up = stack_uploads([make_stats([0.3, 0.1], [0.2, 0.2])])
         omega = np.ones((1, 2))
-        np.testing.assert_allclose(global_routing(up.p_bar, omega), [0.75, 0.25], atol=1e-12)
+        np.testing.assert_allclose(
+            global_routing(np.array([[0.3, 0.1]]), omega), [0.75, 0.25], atol=1e-12
+        )
 
     def test_simplex(self):
-        rng = np.random.default_rng(1)
-        st = [
-            make_stats(rng.dirichlet(np.ones(4)), rng.uniform(0.05, 0.4, 4))
-            for _ in range(5)
-        ]
-        up = stack_uploads(st)
-        p_g = global_routing(up.p_bar, consistency_weights(up.p_bar, up.margin))
+        p_bar, margin = random_routing(np.random.default_rng(1), 5, 4)
+        p_g = global_routing(p_bar, consistency_weights(p_bar, margin))
         assert np.all(p_g >= 0) and abs(p_g.sum() - 1.0) < 1e-9
 
 
 def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
-    st = [
-        make_stats([0.5, 0.5], [0.1, 0.1], mu=np.array([mu1, [1.0, 0]]),
-                   mu_empty=np.array([empty1, False])),
-        make_stats([0.5, 0.5], [0.1, 0.1], mu=np.array([mu2, [1.0, 0]]),
-                   mu_empty=np.array([empty2, False])),
+    rows = [
+        upload(expert_delta(np.array([d, [1.0, 0.0]])), [0.5, 0.5], [0.1, 0.1],
+               np.array([mu, [1.0, 0]]), [empty, False])
+        for mu, d, empty in ((mu1, d1, empty1), (mu2, d2, empty2))
     ]
-    deltas = [
-        expert_delta(np.array([d1, [1.0, 0.0]])),
-        expert_delta(np.array([d2, [1.0, 0.0]])),
-    ]
-    up = stack_uploads(st, deltas)
-    return expert_semantics(up, 0)
+    return expert_semantics(stack_uploads(rows), 0)
 
 
 def expert_semantics(up, e):
     """`pairwise_semantics` of expert e, as `aggregate_round` calls it."""
     return pairwise_semantics(
-        up.mu[:, e], up.mu_empty[:, e], expert_rows(up.deltas, np.s_[:, e])
+        up.mu[:, e], up.mu_empty[:, e], expert_rows(up.param_delta, np.s_[:, e])
     )
 
 
@@ -319,26 +282,26 @@ class TestPairwiseSemanticsOracle:
         if duplicate:
             mus[-1], upd[-1] = mus[0], upd[0]
         empty = rng.uniform(size=(n, s)) < empty_rate
-        stats = [
-            make_stats(np.full(s, 1.0 / s), np.zeros(s), mu=mus[i], mu_empty=empty[i])
-            for i in range(n)
-        ]
         deltas = [expert_delta(upd[i], like) for i in range(n)]
 
-        up = stack_uploads(stats, deltas)
+        up = stack_uploads([
+            upload(deltas[i], np.full(s, 1.0 / s), np.zeros(s), mus[i], empty[i])
+            for i in range(n)
+        ])
         sim, dcons = (np.stack(q) for q in zip(*(expert_semantics(up, e) for e in range(s))))
-        want_sim, want_dcons = oracles.pairwise_semantics_loop(stats, deltas)
+        want_sim, want_dcons = oracles.pairwise_semantics_loop(up.mu, up.mu_empty, deltas)
         np.testing.assert_allclose(sim, want_sim, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dcons, want_dcons, rtol=0, atol=1e-12)
         assert np.array_equal(sim, sim.transpose(0, 2, 1))
         assert np.array_equal(dcons, dcons.transpose(0, 2, 1))
 
-        wide_stats = [stat._replace(mu=extended(stat.mu)) for stat in stats]
         wide_deltas = [
             SimpleNamespace(**{b: extended(getattr(d, b)) for b in EXPERT_BLOCKS})
             for d in deltas
         ]
-        exact_sim, exact_dcons = oracles.pairwise_semantics_loop(wide_stats, wide_deltas)
+        exact_sim, exact_dcons = oracles.pairwise_semantics_loop(
+            extended(up.mu), up.mu_empty, wide_deltas
+        )
         assert np.max(np.abs(sim - exact_sim)) <= cosine_error_bound(h)
         assert np.max(np.abs(dcons - exact_dcons)) <= cosine_error_bound(p)
 
@@ -427,14 +390,13 @@ class TestPerExpertMatchesBatchedOracle:
         upd = rng.normal(size=(n, s, p))
         upd[rng.uniform(size=(n, s)) < zero_rate] = 0.0
         empty = rng.uniform(size=(n, s)) < empty_rate
-        stats = [
-            make_stats(np.full(s, 1.0 / s), np.zeros(s), mu=rng.normal(size=(s, h)),
-                       mu_empty=empty[i])
+        up = stack_uploads([
+            upload(expert_delta(upd[i], like), np.full(s, 1.0 / s), np.zeros(s),
+                   rng.normal(size=(s, h)), empty[i])
             for i in range(n)
-        ]
-        up = stack_uploads(stats, [expert_delta(upd[i], like) for i in range(n)])
+        ])
         want = oracles.semantic_chain_batched(
-            up.mu, up.mu_empty, up.deltas, beta, fixed_tau, use_direction
+            up.mu, up.mu_empty, up.param_delta, beta, fixed_tau, use_direction
         )
 
         for e in range(s):
@@ -449,16 +411,16 @@ class TestPerExpertMatchesBatchedOracle:
             assert np.array_equal(gamma, want.gamma[e])
         size_w = np.full(n, 1.0 / n)
         new, _, rep = aggregate_round(
-            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
-            size_w, 1, beta=beta, fixed_tau=fixed_tau, direction=use_direction,
+            zero_model(up.param_delta), up, size_w, 1, beta=beta, fixed_tau=fixed_tau,
+            direction=use_direction,
         )
         for got, ref in ((rep.tau, want.tau), (rep.mean_sim, want.mean_sim),
                          (rep.dispersion, want.disp), (rep.gamma_row_sums, want.gamma_row_sums)):
             assert np.array_equal(got, ref)
         w, updated = expert_weights(rep.gamma_row_sums)
         assert np.array_equal(w, want.weights) and np.array_equal(updated, want.updated)
-        ref = aggregate_experts(zero_model(up.deltas), up.deltas, want.weights, want.updated,
-                                size_w)
+        ref = aggregate_experts(zero_model(up.param_delta), up.param_delta, want.weights,
+                                want.updated, size_w)
         assert new.flat.tobytes() == ref.flat.tobytes()
 
 
@@ -482,9 +444,9 @@ class TestExpertAggregation:
         p = base.size
         d1 = np.zeros(p); d1[0] = 2.0
         d2 = np.zeros(p); d2[1] = 2.0
-        deltas = stack_uploads(
-            [], [expert_delta(d1[None, :], params), expert_delta(d2[None, :], params)]
-        ).deltas
+        deltas = stack_deltas(
+            [expert_delta(d1[None, :], params), expert_delta(d2[None, :], params)]
+        )
         w = np.array([[0.75, 0.25]])
         out = aggregate_experts(params, deltas, w, np.array([True]), w[0])
         got = expert_rows(out)[0] - base
@@ -496,7 +458,7 @@ class TestExpertAggregation:
         params = init_params(config, np.random.default_rng(0))
         base = expert_rows(params)[0]
         d = np.random.default_rng(1).normal(size=base.size)
-        deltas = stack_uploads([], [expert_delta(d[None, :], params)] * 3).deltas
+        deltas = stack_deltas([expert_delta(d[None, :], params)] * 3)
         w = np.full((1, 3), 1.0 / 3.0)
         out = aggregate_experts(params, deltas, w, np.array([True]), w[0])
         np.testing.assert_allclose(expert_rows(out)[0] - base, d, atol=1e-12)
@@ -506,7 +468,7 @@ class TestExpertAggregation:
         params = init_params(config, np.random.default_rng(0))
         before = expert_rows(params)[1]
         d = np.ones((2, before.size))
-        deltas = stack_uploads([], [expert_delta(d, params)]).deltas
+        deltas = stack_deltas([expert_delta(d, params)])
         out = aggregate_experts(params, deltas, np.ones((2, 1)),
                                 np.array([True, False]), np.ones(1))
         assert np.array_equal(expert_rows(out)[1], before)
@@ -516,7 +478,7 @@ class TestExpertAggregation:
         params = init_params(config, np.random.default_rng(0))
         base = expert_rows(params)[0]
         d = np.random.default_rng(2).normal(size=base.size)
-        deltas = stack_uploads([], [expert_delta(d[None, :], params)]).deltas
+        deltas = stack_deltas([expert_delta(d[None, :], params)])
         w, updated = expert_weights(np.full((1, 1), 0.5))
         out = aggregate_experts(params, deltas, w, updated, np.ones(1))
         np.testing.assert_allclose(expert_rows(out)[0] - base, d, atol=1e-12)
@@ -572,7 +534,7 @@ class TestAggregationKernel:
         sizes = rng.integers(1, 50, size=n).astype(np.float64)
 
         got = aggregate_experts(
-            start, stack_uploads([], deltas).deltas, weights, updated, sizes / sizes.sum()
+            start, stack_deltas(deltas), weights, updated, sizes / sizes.sum()
         )
         want = oracles.aggregate_round_flat(start, deltas, weights, updated, sizes)
         for b, arr in want.items():
@@ -593,23 +555,21 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(7)
         n, s, p = 5, 3, 8
         stats = [
-            make_stats(rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s),
-                       mu=rng.normal(size=(s, 2)))
+            (rng.dirichlet(np.ones(s)), rng.uniform(0.05, 0.3, s), rng.normal(size=(s, 2)))
             for _ in range(n)
         ]
-        deltas = [expert_delta(rng.normal(size=(s, p))) for _ in range(n)]
+        rows = [upload(expert_delta(rng.normal(size=(s, p))), *st) for st in stats]
 
-        def pipeline(st, dl):
-            up = stack_uploads(st, dl)
+        def pipeline(rows):
+            up = stack_uploads(rows)
             new, p_g, rep = aggregate_round(
-                zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
-                np.full(n, 1.0 / n), 1, beta=0.5,
+                zero_model(up.param_delta), up, np.full(n, 1.0 / n), 1, beta=0.5
             )
             return p_g, rep.tau, expert_rows(new)
 
         perm = [3, 1, 4, 0, 2]
-        base = pipeline(stats, deltas)
-        shuf = pipeline([stats[i] for i in perm], [deltas[i] for i in perm])
+        base = pipeline(rows)
+        shuf = pipeline([rows[i] for i in perm])
         # The server sums in the order the clients arrive, so the reduction
         # order changes; demand 1e-12 closeness.
         np.testing.assert_allclose(base[0], shuf[0], atol=1e-12)
@@ -626,12 +586,9 @@ class TestHomogeneityFixedPoint:
         margin = rng.uniform(0.05, 0.3, s)
         mu = rng.normal(size=(s, 2))
         d = rng.normal(size=(s, p))
-        stats = [make_stats(p_bar, margin, mu=mu) for _ in range(n)]
-        deltas = [expert_delta(d) for _ in range(n)]
-        up = stack_uploads(stats, deltas)
+        up = stack_uploads([upload(expert_delta(d), p_bar, margin, mu) for _ in range(n)])
         new, p_g, rep = aggregate_round(
-            zero_model(up.deltas), up.deltas, up.p_bar, up.margin, up.mu, up.mu_empty,
-            np.full(n, 1.0 / n), 1, beta=0.5,
+            zero_model(up.param_delta), up, np.full(n, 1.0 / n), 1, beta=0.5
         )
         np.testing.assert_allclose(rep.omega, 1.0 / n, atol=1e-9)
         np.testing.assert_allclose(p_g, p_bar, atol=1e-9)

@@ -3,8 +3,9 @@
     python3 tools/compare_runs.py PARENT_TREE CHANGE_TREE [--work DIR]
 
 The runs are the three benchmark workloads (`perfbench/run.py`'s
-`WORKLOADS`) at seeds 3-5, then, at 5 rounds and seeds 3-5: FedProx, each
-ablation flag, `fixed_tau` 0.5, and S = 8 experts with k = 3. Each run is
+`WORKLOADS`) at seeds 3-5, then, at 5 rounds and seeds 3-5: the seven rows
+of `PAIRWISE`, each at k = 2 so that every method trains the gate, and
+S = 8 experts with k = 3. Each run is
 `python -m fedalign.cli run` in its own subprocess with one OpenBLAS thread,
 importing the package from TREE/src. Each output file is compared byte for
 byte; for a file that differs, the largest absolute move of each field is
@@ -44,6 +45,7 @@ WORKLOADS = {
         "rounds": 8,
     },
 }
+METHODS = ("fedalign", "fedavg", "fedprox")
 ABLATION_FLAGS = (
     "no_consistency_weighting",
     "no_adaptive_alpha",
@@ -51,10 +53,32 @@ ABLATION_FLAGS = (
     "no_gating_broadcast",
     "uniform_gamma",
 )
+FIXED_TAUS = (None, 0.5)
+# A pairwise covering array (Cohen et al., "The AETG System", IEEE TSE
+# 23(7), 1997; Kuhn, Kacker and Lei, NIST SP 800-142, 2010): for any two
+# factors, every pair of their values is in some row. The factors are the
+# method, each of ABLATION_FLAGS (1 where it is set) and fixed_tau.
+PAIRWISE = (
+    ("fedalign", 0, 0, 0, 0, 1, None),
+    ("fedalign", 0, 0, 1, 1, 0, 0.5),
+    ("fedalign", 1, 1, 0, 0, 0, 0.5),
+    ("fedavg", 0, 0, 0, 0, 0, 0.5),
+    ("fedavg", 1, 1, 1, 1, 1, None),
+    ("fedprox", 0, 1, 0, 1, 1, 0.5),
+    ("fedprox", 1, 0, 1, 0, 0, None),
+)
+
+
+def pairwise_config(row: tuple) -> dict:
+    """The config fields of one `PAIRWISE` row, at top_k 2."""
+    method, *flags, fixed_tau = row
+    cfg = {"method": method, "top_k": 2,
+           "ablations": [flag for flag, on in zip(ABLATION_FLAGS, flags) if on]}
+    return cfg if fixed_tau is None else {**cfg, "fixed_tau": fixed_tau}
+
+
 VARIANTS = {
-    "fedprox": {"method": "fedprox"},
-    **{flag: {"ablations": [flag]} for flag in ABLATION_FLAGS},
-    "fixed_tau": {"fixed_tau": 0.5},
+    **{f"pairs{i}-{row[0]}": pairwise_config(row) for i, row in enumerate(PAIRWISE, 1)},
     "s8-k3": {"num_experts": 8, "top_k": 3},
 }
 

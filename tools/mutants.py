@@ -132,6 +132,12 @@ MUTANTS = [
     ),
     # A config option's check is its declaration.
     Mutant("lr-unbounded", "harness.py", "lr: Positive = 0.2", "lr: float = 0.2"),
+    # A round's record holds every client's row of every upload.
+    Mutant(
+        "uploads-row-0", "client.py",
+        "getattr(self, name)[idx] = getattr(rows, name)",
+        "getattr(self, name)[0] = getattr(rows, name)",
+    ),
     # FedProx pulls toward the model the client starts from.
     Mutant(
         "prox-without-anchor", "client.py",
