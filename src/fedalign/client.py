@@ -168,6 +168,8 @@ def local_round(
                 grad += prox_mu * (theta - params_in.flat)
             theta -= lr * grad
             params.check_finite()
+            del trace, grad  # one step's arrays at a time
+        del features, labels  # and one epoch's order
 
     # Statistics reflect the final model: one pass over the whole shard.
     trace, mean_local = M.forward(config, params, shard.features, shard.labels)

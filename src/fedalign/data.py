@@ -94,7 +94,7 @@ def dirichlet_partition(
         raise ValueError("concentration must be > 0")
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    classes = np.unique(labels)
+    classes = np.flatnonzero(np.bincount(labels))  # np.unique(labels), without numpy.ma
     clients = np.arange(num_clients)
     for _ in range(PARTITION_DRAWS):
         owner = np.empty(labels.size, dtype=np.intp)  # client index of each sample

@@ -271,6 +271,7 @@ def shard_routing(
         trace, _ = M.forward(data.model_config, client_start(cfg, state, i), shard.features)
         p_bar[i] = C.compute_p_bar(trace)
         acc[i] = (np.argmax(trace.logits, axis=1) == shard.labels).mean()
+        del trace  # one shard's trace at a time
     return p_bar, acc
 
 
@@ -310,7 +311,8 @@ def run_round(
         semantic_weights=is_align and not cfg.ablated("uniform_gamma"),
         direction=not cfg.ablated("no_direction_consensus"),
     )
-    p_bar = uploads.p_bar
+    p_bar, local_loss, reg_loss = uploads.p_bar, uploads.mean_local_loss, uploads.mean_reg_loss
+    del uploads, res  # the (N, P) delta buffer ends with aggregation
     nxt = RoundState(global_params, gates, p_g, p_bar)
     post_p_bar, local_accs = shard_routing(cfg, data, nxt)
     record = RoundRecord(
@@ -318,8 +320,8 @@ def run_round(
         global_accuracy=evaluate(data.model_config, global_params, data.test_x, data.test_y),
         local_accuracy_mean=float(np.mean(local_accs)),
         local_accuracy_std=float(np.std(local_accs)),
-        mean_local_loss=float(np.mean(uploads.mean_local_loss)),
-        mean_reg_loss=float(np.mean(uploads.mean_reg_loss)),
+        mean_local_loss=float(np.mean(local_loss)),
+        mean_reg_loss=float(np.mean(reg_loss)),
         routing_disagreement_pre=float(total_variation(p_bar, p_g).mean()),
         routing_disagreement_post=float(total_variation(post_p_bar, p_g).mean()),
         routing_spread_pre=float(total_variation(p_bar, p_bar.mean(axis=0)).mean()),

@@ -111,14 +111,15 @@ class ModelParams:
 EXPERT_BLOCKS = ("expert_w1", "expert_b1", "expert_w2", "expert_b2")
 
 
-def expert_rows(params: ModelParams, experts=slice(None)) -> np.ndarray:
-    """One row per selected expert: its w1|b1|w2|b2 concatenated in row-major
-    order, (S, P) by default. `experts` may be any index into the blocks'
+def expert_columns(params: ModelParams, experts=slice(None)) -> list[np.ndarray]:
+    """One row per selected expert, as four column blocks: its w1, b1, w2
+    and b2 in row-major order, each (S, ·) by default; their concatenation
+    is the expert's row. `experts` may be any index into the blocks'
     leading axes: with a leading client axis, `np.s_[:, e]` gives expert e
-    of every client as (N, P). The update cosines use it."""
+    of every client, (N, ·) each. Basic indexing keeps every block a view
+    of `flat`; `cosine_sim` gathers them for the update cosines."""
     parts = [getattr(params, b)[experts] for b in EXPERT_BLOCKS]
-    n = parts[0].shape[0]
-    return np.concatenate([p.reshape(n, -1) for p in parts], axis=1)
+    return [p.reshape(parts[0].shape[0], -1) for p in parts]
 
 
 def init_params(config: MoEConfig, rng: np.random.Generator) -> ModelParams:

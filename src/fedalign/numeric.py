@@ -27,21 +27,23 @@ NORM_FLOOR = 1e-12
 GRAM_ROW_BLOCK = 16
 
 
-def cosine_sim(x: np.ndarray) -> np.ndarray:
+def cosine_sim(x) -> np.ndarray:
     """All-pairs cosine similarity of the rows of x (N, P), as (N, N); 0
-    where either row's norm is below NORM_FLOOR.
+    where either row's norm is below NORM_FLOOR. x may also be a list of
+    (N, P_b) column blocks, whose concatenation is the rows: they are
+    gathered straight into the zero-padded Gram buffer, the one copy made.
 
     One Gram product `x @ x.T` gives every dot, and its diagonal the
     squared norms. numpy hands a product with its own transpose to BLAS
     syrk, which computes one triangle and mirrors it, so each off-diagonal
     pair is computed once and the result is exactly symmetric.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (N, P) rows, got shape {x.shape}")
-    n = x.shape[0]
-    padded = np.zeros((-(-n // GRAM_ROW_BLOCK) * GRAM_ROW_BLOCK, x.shape[1]))
-    padded[:n] = x
+    blocks = [np.asarray(b, dtype=np.float64) for b in (x if isinstance(x, list) else [x])]
+    if any(b.ndim != 2 for b in blocks):
+        raise ValueError(f"expected (N, P) rows, got {[b.shape for b in blocks]}")
+    n, p = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
+    padded = np.zeros((-(-n // GRAM_ROW_BLOCK) * GRAM_ROW_BLOCK, p))
+    np.concatenate(blocks, axis=1, out=padded[:n])
     gram = (padded @ padded.T)[:n, :n]
     nrm = np.sqrt(np.diagonal(gram))
     live = nrm >= NORM_FLOOR

@@ -87,17 +87,17 @@ def global_routing(p_bar: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def pairwise_semantics(
-    mu_e: np.ndarray, mu_empty_e: np.ndarray, rows_e: np.ndarray
+    mu_e: np.ndarray, mu_empty_e: np.ndarray, rows_e
 ) -> tuple[np.ndarray, np.ndarray]:
     """One expert's pairwise semantic similarity S and direction consensus
     D, each (N, N).
 
     S compares the clients' mu rows for the expert (N, H), D their update
-    rows (N, P), `model.expert_rows(deltas, np.s_[:, e])`; each takes one
-    Gram-form `cosine_sim` call. Any pair where either mu is empty-flagged
-    (mu_empty_e is (N,)) or either update row is zero is excluded from
-    consensus: both entries are 0. A zero update row is the one with a
-    zero self-cosine.
+    rows (N, P), an array or the column blocks `model.expert_columns(deltas,
+    np.s_[:, e])`, which `cosine_sim` copies once; each takes one Gram-form
+    `cosine_sim` call. Any pair where either mu is empty-flagged (mu_empty_e
+    is (N,)) or either update row is zero is excluded from consensus: both
+    entries are 0. A zero update row is the one with a zero self-cosine.
     """
     d = cosine_sim(rows_e)
     valid = ~mu_empty_e & (np.diagonal(d) > 0.0)
@@ -185,7 +185,7 @@ def aggregate_round(
     tau, mean_sim, disp, gamma_rows = np.empty(s), np.empty(s), np.empty(s), np.empty((s, n))
     for e in range(s):
         sim, dcons = pairwise_semantics(
-            uploads.mu[:, e], uploads.mu_empty[:, e], M.expert_rows(deltas, np.s_[:, e])
+            uploads.mu[:, e], uploads.mu_empty[:, e], M.expert_columns(deltas, np.s_[:, e])
         )
         tau[e], mean_sim[e], disp[e] = adaptive_threshold(sim, beta)
         if fixed_tau is not None:

@@ -1,5 +1,6 @@
-"""Test tools: builders for client updates (a `ModelParams` of deltas made
-from per-expert rows, and the model a delta leads to), for one client's
+"""Test tools: each expert's concatenated row, builders for client updates
+(a `ModelParams` of deltas made from per-expert rows, and the model a
+delta leads to), for one client's
 `client.Uploads` and for a round's, stacked from the clients' records, a
 zero model to aggregate a round onto, row scales around NORM_FLOOR for
 property tests, the `np.longdouble` conversion for 80-bit references and
@@ -12,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 from fedalign.client import Uploads
-from fedalign.model import MoEConfig, ModelParams, forward
+from fedalign.model import MoEConfig, ModelParams, expert_columns, forward
 from fedalign.numeric import NORM_FLOOR
 
 # Row scales that put norms at zero, on both sides of NORM_FLOOR, and well
@@ -38,8 +39,14 @@ def cosine_error_bound(p):
     return (p + 3) * np.finfo(np.float64).eps
 
 
+def expert_rows(params, experts=slice(None)):
+    """The rows of `model.expert_columns`, concatenated: (S, P) by default,
+    (N, P) for `np.s_[:, e]` of a round's deltas."""
+    return np.concatenate(expert_columns(params, experts), axis=1)
+
+
 def expert_delta(rows, like=None):
-    """An update whose `model.expert_rows` are `rows` (S, P), zero elsewhere.
+    """An update whose `expert_rows` are `rows` (S, P), zero elsewhere.
 
     Block shapes follow `like`. Without it the hidden width is 1 and each
     row is zero-padded to the next valid length 3E + 1; the padding leaves

@@ -520,3 +520,23 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
         mean_local_loss=mean_local,
         mean_reg_loss=C.reg_loss(trace, ctx),
     )
+
+
+def dirichlet_partition_unique(features, labels, num_clients, concentration, rng, draws=100):
+    """Reference for `data.dirichlet_partition`'s shards: the same draws
+    over the classes `np.unique(labels)`, as (features, labels) per client;
+    None when each of `draws` draws leaves a client empty."""
+    import numpy as np
+
+    clients = np.arange(num_clients)
+    for _ in range(draws):
+        owner = np.empty(labels.size, dtype=np.intp)
+        for c in np.unique(labels):
+            idx = np.nonzero(labels == c)[0]
+            idx = idx[rng.permutation(idx.size)]
+            props = rng.dirichlet(np.full(num_clients, concentration, dtype=np.float64))
+            cuts = (np.cumsum(props)[:-1] * idx.size).astype(int)
+            owner[idx] = np.repeat(clients, np.diff(cuts, prepend=0, append=idx.size))
+        if np.bincount(owner, minlength=num_clients).min() >= 1:
+            return [(features[owner == i], labels[owner == i]) for i in clients]
+    return None

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import expert_delta, gate_softmax, grad_check, stack_uploads, upload, zero_model
+from helpers import (
+    expert_delta, expert_rows, gate_softmax, grad_check, stack_uploads, upload, zero_model,
+)
 from fedalign import client as C
 from fedalign import model as M
 from fedalign import server as S
@@ -214,7 +216,7 @@ def test_criterion_4_homogeneity_fixed_point(report):
             float(np.abs(rep.omega - 1.0 / n).max()),
             float(np.abs(p_g - p_bar).max()),
             float(np.abs(rep.tau - 1.0).max()),
-            float(np.abs(M.expert_rows(new) - d).max()),
+            float(np.abs(expert_rows(new) - d).max()),
         )
     ok = worst < 1e-9
     report(4, "homogeneity fixed point", ok, f"max deviation {worst:.2e}")
@@ -239,7 +241,7 @@ def test_criterion_5_permutation_equivariance(report):
         )
         # Per-client columns back in original client-id order.
         inv = np.argsort(order)
-        return p_g, rep.tau, M.expert_rows(new), rep.omega[inv], rep.gamma_row_sums[:, inv]
+        return p_g, rep.tau, expert_rows(new), rep.omega[inv], rep.gamma_row_sums[:, inv]
 
     base = pipeline(np.arange(n))
     shuf = pipeline(np.array([4, 0, 5, 2, 1, 3]))

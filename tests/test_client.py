@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from helpers import apply_delta, gate_model, softmax, stack_uploads
+from helpers import apply_delta, expert_rows, gate_model, softmax, stack_uploads
 from fedalign.client import (
     RegContext,
     Uploads,
@@ -29,7 +29,6 @@ from fedalign.data import ClientDataset
 from fedalign.model import (
     MoEConfig,
     ModelParams,
-    expert_rows,
     forward,
     init_params,
     top_k_select,

@@ -147,6 +147,26 @@ class TestPartition:
         with pytest.raises(ValueError):
             dirichlet_partition(x, y, 0, 0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("classes", [[0, 2, 5], [0], [3], "generated"])
+    def test_matches_unique_oracle(self, classes):
+        # The classes come from the labels' counts, not np.unique: the same
+        # ascending list for non-negative labels, gaps and one class included.
+        if classes == "generated":
+            x, y = generate(make_task(per_class=50), np.random.default_rng(0))
+        else:
+            rng = np.random.default_rng(1)
+            y = rng.permutation(np.repeat(np.array(classes, dtype=np.int64), 40))
+            x = rng.normal(size=(y.size, 3))
+        for n, concentration in ((1, 0.1), (4, 1.0), (10, 10.0)):
+            got = dirichlet_partition(x, y, n, concentration, np.random.default_rng(7))
+            want = oracles.dirichlet_partition_unique(
+                x, y, n, concentration, np.random.default_rng(7)
+            )
+            assert len(got) == len(want) == n
+            for shard, (wx, wy) in zip(got, want):
+                assert shard.features.tobytes() == wx.tobytes()
+                assert shard.labels.tobytes() == wy.tobytes()
+
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             ClientDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))

@@ -381,7 +381,11 @@ class TestWholeRunProperties:
     and one-row shards among them: a run ends or raises `ConfigError` or
     `FloatingPointError`, twice the same; omega's columns and p_g are
     distributions; a not-updated expert keeps its bytes; tau is
-    M - beta * Sigma unless fixed; every record field is finite."""
+    M - beta * Sigma unless fixed; every record field is finite.
+
+    A not-updated expert's weights are all 0, so it keeps its bytes with or
+    without `aggregate_experts`' freeze: these runs cannot see the freeze,
+    `TestExpertAggregation::test_skipped_expert_frozen` tests it."""
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -15,13 +15,14 @@ from helpers import (
     NORM_SCALES,
     cosine_error_bound,
     expert_delta,
+    expert_rows,
     extended,
     stack_deltas,
     stack_uploads,
     upload,
     zero_model,
 )
-from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_rows, init_params
+from fedalign.model import EXPERT_BLOCKS, MoEConfig, expert_columns, init_params
 from fedalign.numeric import NORM_FLOOR
 from fedalign.server import (
     adaptive_threshold,
@@ -216,7 +217,7 @@ def two_client_semantics(mu1, mu2, d1, d2, empty1=False, empty2=False):
 def expert_semantics(up, e):
     """`pairwise_semantics` of expert e, as `aggregate_round` calls it."""
     return pairwise_semantics(
-        up.mu[:, e], up.mu_empty[:, e], expert_rows(up.param_delta, np.s_[:, e])
+        up.mu[:, e], up.mu_empty[:, e], expert_columns(up.param_delta, np.s_[:, e])
     )
 
 
@@ -548,6 +549,8 @@ class TestAggregationKernel:
         assert np.array_equal(
             expert_rows(params, slice(1, 2)), oracles.flat_expert_rows(params)[1:2]
         )
+        # The column blocks are views of the buffer: `cosine_sim` makes the one copy.
+        assert all(np.shares_memory(c, params.flat) for c in expert_columns(params))
 
 
 class TestPermutationEquivariance:

@@ -143,6 +143,22 @@ MUTANTS = [
         "prox-without-anchor", "client.py",
         "prox_mu * (theta - params_in.flat)", "prox_mu * theta",
     ),
+    # A not-updated expert keeps its bytes even when its weights are not 0.
+    Mutant("freeze-deleted", "server.py", "new[frozen] = old[frozen]", "pass"),
+    # Memory: no module or array the run does not need, and none past its
+    # last reader.
+    Mutant(
+        "classes-from-unique", "data.py",
+        "np.flatnonzero(np.bincount(labels))", "np.unique(labels)",
+    ),
+    Mutant("uploads-into-metrics", "harness.py", "del uploads, res", "del res"),
+    Mutant("shard-trace-kept", "harness.py", "del trace", "pass"),
+    Mutant("step-trace-kept", "client.py", "del trace, grad", "pass"),
+    Mutant(
+        "expert-rows-copied-twice", "server.py",
+        "M.expert_columns(deltas, np.s_[:, e])",
+        "np.concatenate(M.expert_columns(deltas, np.s_[:, e]), axis=1)",
+    ),
 ]
 
 
