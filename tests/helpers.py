@@ -1,12 +1,12 @@
 """Test tools: each expert's concatenated row, builders for client updates
 (a `ModelParams` of deltas made from per-expert rows, and the model a
-delta leads to), for one client's
-`client.Uploads` and for a round's, stacked from the clients' records, a
-zero model to aggregate a round onto, row scales around NORM_FLOOR for
-property tests, the `np.longdouble` conversion for 80-bit references and
-the cosine's rounding bound, a plain softmax for building inputs, a model
-whose gate scores are its inputs and `forward`'s routing softmax on it,
-and the central finite-difference gradient checker."""
+delta leads to), for one client's `client.Uploads` and for a round's,
+stacked from the clients' records, a zero model to aggregate a round onto,
+row scales around NORM_FLOOR for property tests, the `np.longdouble`
+conversion for 80-bit references and the cosine's rounding bound, a plain
+softmax for building inputs, a model whose gate scores are its inputs and
+`forward`'s routing softmax on it, and the central finite-difference
+gradient checker."""
 
 from dataclasses import fields
 

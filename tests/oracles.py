@@ -522,14 +522,14 @@ def local_round_per_block(config, params_in, shard, ctx, epochs, lr, rng, batch_
     )
 
 
-def dirichlet_partition_unique(features, labels, num_clients, concentration, rng, draws=100):
+def dirichlet_partition_unique(features, labels, num_clients, concentration, rng):
     """Reference for `data.dirichlet_partition`'s shards: the same draws
     over the classes `np.unique(labels)`, as (features, labels) per client;
-    None when each of `draws` draws leaves a client empty."""
+    None when each of its 100 draws leaves a client empty."""
     import numpy as np
 
     clients = np.arange(num_clients)
-    for _ in range(draws):
+    for _ in range(100):
         owner = np.empty(labels.size, dtype=np.intp)
         for c in np.unique(labels):
             idx = np.nonzero(labels == c)[0]
